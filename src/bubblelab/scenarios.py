@@ -2,9 +2,10 @@
 
 A scenario file holds sections ``[name]``, each a list of ``key = value``
 lines. Blank lines and lines starting with ``#`` or ``;`` are skipped.
-Every section needs a ``model`` key naming one of the registered models;
-the remaining keys are model parameters and run controls, checked against
-the model's schema with errors that name the offending key and line.
+Every section needs a ``model`` key naming an entry of ``MODELS``, the one
+place that describes a model to the runner (see ``ModelSpec``). The
+remaining keys are model parameters and run controls, checked against the
+model's schema with errors that name the offending key and line.
 
 Value syntax depends on the key's declared kind:
 
@@ -27,8 +28,11 @@ into the output directory. Output is deterministic byte for byte.
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +113,12 @@ _CALL_RE = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
 
 def _float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
         raise ScenarioError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where}: expected a finite number, got {raw!r}")
+    return x
 
 
 def _int(raw: str, where: str) -> int:
@@ -189,117 +196,60 @@ def _names(raw: str, where: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
+_CONVERTERS = dict(float=_float, int=_int, bool=_bool, sequence=_sequence)
+
+
 # ---------------------------------------------------------------------------
 # model schemas
 
 
 @dataclass(frozen=True)
 class Opt:
-    kind: str                 # float | int | bool | sequence
+    kind: str                 # a key of _CONVERTERS
     required: bool = False
     default: object = None
     param: bool = False       # model parameter (sweepable) vs run control
 
 
+_PARAM = Opt("float", required=True, param=True)
+_LAND_SUPPLY = {"land_supply": Opt("float", default=1.0, param=True)}
+_HORIZON = {"horizon": Opt("int", default=200)}
+
+
+def _params(*keys: str) -> dict[str, Opt]:
+    """Required (float) model parameters, in the given order."""
+    return dict.fromkeys(keys, _PARAM)
+
+
+# path columns every model path can write, and the land economy's extras
+_PATH_COLUMNS = ("t", "P", "D", "R", "price_rent", "yield")
+_LAND_PATH_COLUMNS = _PATH_COLUMNS + ("W", "K", "phi")
+_VALUATION_COLUMNS = ("V", "bubble")
+
 _OLG_COLUMNS = ("t", "P", "D", "R")
-_WILSON_COLUMNS = ("t", "P", "D", "R", "yield")
-_BB_COLUMNS = ("t", "P", "D", "R", "W", "K", "phi", "price_rent")
+_WILSON_COLUMNS = _OLG_COLUMNS + ("yield",)
+_BB_COLUMNS = _OLG_COLUMNS + ("W", "K", "phi", "price_rent")
 
-MODEL_SCHEMAS: dict[str, dict[str, Opt]] = {
-    "samuelson": {
-        "beta": Opt("float", required=True, param=True),
-        "young_endow": Opt("float", required=True, param=True),
-        "old_endow": Opt("float", required=True, param=True),
-        "p0": Opt("float"),
-        "horizon": Opt("int", default=200),
-    },
-    "weil": {
-        "beta": Opt("float", required=True, param=True),
-        "young_endow": Opt("float", required=True, param=True),
-        "old_endow": Opt("float", required=True, param=True),
-        "survival": Opt("float", required=True, param=True),
-        "seed": Opt("int", default=0),
-        "horizon": Opt("int", default=200),
-    },
-    "bewley": {
-        "beta": Opt("float", required=True, param=True),
-        "gamma": Opt("float", required=True, param=True),
-        "growth": Opt("float", required=True, param=True),
-        "rich_endow": Opt("float", required=True, param=True),
-        "poor_endow": Opt("float", required=True, param=True),
-        "horizon": Opt("int", default=200),
-    },
-    "tirole": {
-        "beta": Opt("float", required=True, param=True),
-        "alpha": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "tfp": Opt("float", required=True, param=True),
-    },
-    "tirole_crowdin": {
-        "beta": Opt("float", required=True, param=True),
-        "alpha": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "tfp": Opt("float", required=True, param=True),
-        "entrepreneur_prob": Opt("float", required=True, param=True),
-    },
-    "wilson": {
-        "beta": Opt("float", required=True, param=True),
-        "young_endow": Opt("sequence", required=True),
-        "dividend": Opt("sequence", required=True),
-        "horizon": Opt("int", default=200),
-        "test_horizon": Opt("int", default=10_000),
-    },
-    "barebones": {
-        "pi": Opt("float", required=True, param=True),
-        "beta": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "productivity": Opt("float", required=True, param=True),
-        "rent": Opt("float", required=True, param=True),
-        "land_supply": Opt("float", default=1.0, param=True),
-        "horizon": Opt("int", default=200),
-        "p0": Opt("float"),
-        "w0": Opt("float"),
-        "truncation": Opt("int"),
-        "require_feasible": Opt("bool", default=False),
-    },
-    "barebones_construct": {
-        "pi": Opt("float", required=True, param=True),
-        "beta": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "productivity": Opt("float", required=True, param=True),
-        "rent": Opt("float", required=True, param=True),
-        "land_supply": Opt("float", default=1.0, param=True),
-        "k0": Opt("float", required=True),
-        "horizon": Opt("int", default=200),
-    },
-    "barebones_switch": {
-        "pi": Opt("float", required=True, param=True),
-        "beta": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "rent": Opt("float", required=True, param=True),
-        "land_supply": Opt("float", default=1.0, param=True),
-        "base_productivity": Opt("float", required=True, param=True),
-        "shock_productivity": Opt("float", required=True, param=True),
-        "shock_rent": Opt("float", param=True),
-        "shock_on": Opt("int", required=True),
-        "shock_off": Opt("int", required=True),
-        "horizon": Opt("int", default=50),
-    },
-    "barebones_timevarying": {
-        "pi": Opt("float", required=True, param=True),
-        "beta": Opt("float", required=True, param=True),
-        "delta": Opt("float", required=True, param=True),
-        "land_supply": Opt("float", default=1.0, param=True),
-        "productivity": Opt("sequence", required=True),
-        "rent": Opt("sequence", required=True),
-        "w0": Opt("float", required=True),
-        "horizon": Opt("int", default=200),
-        "require_feasible": Opt("bool", default=True),
-    },
-}
 
-# models that emit no time path (steady-state comparisons only)
-_NO_PATH_MODELS = frozenset({"tirole", "tirole_crowdin"})
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model as the scenario runner sees it.
+
+    ``params`` turns resolved options into the model's parameter object,
+    which ``run`` and ``stats`` receive. ``stats`` computes the statistics
+    named in ``stat_names``, for sweep points and run summaries alike; a
+    model without it cannot be swept. ``columns`` are the default path
+    columns and ``path_columns`` every column its path can write; both are
+    empty for a model that writes no path.
+    """
+
+    schema: dict[str, Opt]
+    params: Callable[[dict], object]
+    run: Callable[[object, dict, int, int | None], _ModelOutput]
+    stat_names: tuple[str, ...] = ()
+    stats: Callable[[object], dict[str, object]] | None = None
+    columns: tuple[str, ...] = ()
+    path_columns: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -317,6 +267,46 @@ class Scenario:
         return self.sweep is not None
 
 
+def _typed_options(raw, source, model, pairs, where, sweep_key=None) -> dict:
+    """Convert the section's remaining keys and fill in schema defaults. A
+    sweep (``sweep_key`` given) takes model parameters only and leaves the
+    swept one out."""
+    schema = MODELS[model].schema
+    options: dict[str, object] = {}
+    for key, (rawval, _lineno) in pairs.items():
+        opt = schema.get(key)
+        if sweep_key is not None:
+            if opt is None or not opt.param:
+                raise ScenarioError(
+                    f"{where(key)}: only model parameters are allowed in sweeps"
+                )
+        elif key in ("values", "stats"):
+            raise ScenarioError(
+                f"{where(key)}: {key!r} is only valid in sweep scenarios"
+            )
+        elif opt is None:
+            raise ScenarioError(
+                f"{where(key)}: unknown key for model {model!r}; "
+                f"known: {', '.join(sorted(schema))}"
+            )
+        options[key] = _CONVERTERS[opt.kind](rawval, where(key))
+    for key, opt in schema.items():
+        if key in options or key == sweep_key:
+            continue
+        if sweep_key is not None and not opt.param:
+            continue
+        if opt.required:
+            raise ScenarioError(
+                f"{source}:{raw.line}: [{raw.name}] is missing "
+                f"required key {key!r}"
+            )
+        if opt.default is not None:
+            options[key] = opt.default
+    if sweep_key is not None:
+        options.pop(sweep_key, None)
+    return options
+
+
 def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
     def where(key: str) -> str:
         return f"{source}:{raw.pairs[key][1]}: [{raw.name}] {key}"
@@ -327,57 +317,25 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
             f"{source}:{raw.line}: [{raw.name}] is missing the model key"
         )
     model = pairs.pop("model")[0]
-    if model not in MODEL_SCHEMAS:
+    if model not in MODELS:
         raise ScenarioError(
             f"{where('model')}: unknown model {model!r}; "
-            f"known: {', '.join(sorted(MODEL_SCHEMAS))}"
+            f"known: {', '.join(sorted(MODELS))}"
         )
-    schema = MODEL_SCHEMAS[model]
+    spec = MODELS[model]
 
     if "sweep" in pairs:
-        return _typed_sweep(raw, source, model, pairs, where)
+        return _typed_sweep(raw, source, model, spec, pairs, where)
 
     columns: tuple[str, ...] | None = None
     if "columns" in pairs:
-        if model in _NO_PATH_MODELS:
+        if not spec.columns:
             raise ScenarioError(
                 f"{where('columns')}: model {model!r} produces no path"
             )
         columns = _names(pairs.pop("columns")[0], where("columns"))
 
-    options: dict[str, object] = {}
-    for key, (rawval, _lineno) in pairs.items():
-        if key in ("values", "stats"):
-            raise ScenarioError(
-                f"{where(key)}: {key!r} is only valid in sweep scenarios"
-            )
-        if key not in schema:
-            raise ScenarioError(
-                f"{where(key)}: unknown key for model {model!r}; "
-                f"known: {', '.join(sorted(schema))}"
-            )
-        opt = schema[key]
-        w = where(key)
-        if opt.kind == "float":
-            options[key] = _float(rawval, w)
-        elif opt.kind == "int":
-            options[key] = _int(rawval, w)
-        elif opt.kind == "bool":
-            options[key] = _bool(rawval, w)
-        elif opt.kind == "sequence":
-            options[key] = _sequence(rawval, w)
-        else:  # pragma: no cover - schema table bug
-            raise AssertionError(opt.kind)
-    for key, opt in schema.items():
-        if key in options:
-            continue
-        if opt.required:
-            raise ScenarioError(
-                f"{source}:{raw.line}: [{raw.name}] is missing "
-                f"required key {key!r}"
-            )
-        if opt.default is not None or opt.kind == "bool":
-            options[key] = opt.default
+    options = _typed_options(raw, source, model, pairs, where)
 
     if columns is not None:
         for c in columns:
@@ -386,7 +344,12 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
                     f"{where('columns')}: unknown column {c!r}; "
                     f"known: {', '.join(csvio.PATH_COLUMNS)}"
                 )
-            if c in ("V", "bubble") and options.get("truncation") is None:
+            if c not in spec.path_columns:
+                raise ScenarioError(
+                    f"{where('columns')}: model {model!r} does not write "
+                    f"column {c!r}; it writes: {', '.join(spec.path_columns)}"
+                )
+            if c in _VALUATION_COLUMNS and options.get("truncation") is None:
                 raise ScenarioError(
                     f"{where('columns')}: column {c!r} needs a "
                     "truncation key to run the valuation"
@@ -394,13 +357,14 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
     return Scenario(name=raw.name, model=model, options=options, columns=columns)
 
 
-def _typed_sweep(raw, source, model, pairs, where) -> Scenario:
-    schema = MODEL_SCHEMAS[model]
-    if model not in _STAT_NAMES:
+def _typed_sweep(raw, source, model, spec, pairs, where) -> Scenario:
+    if spec.stats is None:
+        sweepable = sorted(m for m, s in MODELS.items() if s.stats is not None)
         raise ScenarioError(
             f"{where('sweep')}: model {model!r} does not support sweeps; "
-            f"sweepable: {', '.join(sorted(_STAT_NAMES))}"
+            f"sweepable: {', '.join(sweepable)}"
         )
+    schema = spec.schema
     sweep_key = pairs.pop("sweep")[0].strip()
     if sweep_key not in schema or not schema[sweep_key].param:
         params = [k for k, o in schema.items() if o.param]
@@ -419,31 +383,13 @@ def _typed_sweep(raw, source, model, pairs, where) -> Scenario:
         )
     stats = _names(pairs.pop("stats")[0], where("stats"))
     for s in stats:
-        if s not in _STAT_NAMES[model]:
+        if s not in spec.stat_names:
             raise ScenarioError(
                 f"{where('stats')}: unknown statistic {s!r} for {model!r}; "
-                f"known: {', '.join(_STAT_NAMES[model])}"
+                f"known: {', '.join(spec.stat_names)}"
             )
 
-    options: dict[str, object] = {}
-    for key, (rawval, _lineno) in pairs.items():
-        if key not in schema or not schema[key].param:
-            raise ScenarioError(
-                f"{where(key)}: only model parameters are allowed in sweeps"
-            )
-        options[key] = _float(rawval, where(key))
-    for key, opt in schema.items():
-        if not opt.param or key in options or key == sweep_key:
-            continue
-        if opt.required:
-            raise ScenarioError(
-                f"{source}:{raw.line}: [{raw.name}] is missing "
-                f"required key {key!r}"
-            )
-        if opt.default is not None:
-            options[key] = opt.default
-    if sweep_key in options:
-        del options[sweep_key]
+    options = _typed_options(raw, source, model, pairs, where, sweep_key)
     return Scenario(
         name=raw.name,
         model=model,
@@ -508,13 +454,19 @@ def serialize_scenario(sc: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep statistics
+# per-model parameters, statistics and runners
 
 
-def _stats_samuelson(o: dict) -> dict[str, object]:
-    p = olg.SamuelsonParams(o["beta"], o["young_endow"], o["old_endow"])
+@dataclass
+class _ModelOutput:
+    summary: dict[str, object]
+    path: EquilibriumPath | None = None
+    report: valuation.BubbleReport | None = None
+
+
+def _samuelson_stats(p: olg.SamuelsonParams) -> dict[str, object]:
     eq = olg.samuelson_equilibria(p)
-    price = eq.stationary_price if eq.stationary_price is not None else float("nan")
+    price = eq.stationary_price if eq.stationary_price is not None else math.nan
     return {
         "stationary_price": price,
         "autarky_rate": olg.autarky_rate(p),
@@ -522,140 +474,22 @@ def _stats_samuelson(o: dict) -> dict[str, object]:
     }
 
 
-def _stats_tirole(o: dict) -> dict[str, object]:
-    p = _tirole_params(o)
-    ss = (
-        tirole.tirole_crowdin_steady(p)
-        if p.entrepreneur_prob < 1.0
-        else tirole.tirole_steady(p)
-    )
-    b = ss.bubbly
-    return {
-        "k_fundamental": ss.k_fundamental,
-        "r_fundamental": ss.r_fundamental,
-        "k_bubbly": b.capital if b else float("nan"),
-        "bubble_price": b.price if b else float("nan"),
-        "crowding": ss.crowding if ss.crowding is not None else "none",
-    }
-
-
-def _tirole_params(o: dict) -> tirole.TiroleParams:
-    return tirole.TiroleParams(
-        beta=o["beta"],
-        alpha=o["alpha"],
-        delta=o["delta"],
-        tfp=o["tfp"],
-        entrepreneur_prob=o.get("entrepreneur_prob", 1.0),
-    )
-
-
-def _stats_barebones(o: dict) -> dict[str, object]:
-    p = _barebones_params(o)
-    th = barebones.thresholds(p)
-    ss = barebones.steady_state(p)
-    regime = barebones.classify_regime(p)
-    return {
-        "longrun_rate": barebones.longrun_rate(p),
-        "regime": regime.kind.value,
-        "has_bubble": regime.has_bubble,
-        "steady_price": ss.price if ss is not None else float("nan"),
-        "steady_rate": ss.rate if ss is not None else float("nan"),
-        "price_slope": barebones.price_slope(p),
-        "min_wealth": barebones.min_wealth(p),
-        "threshold_low": th.low,
-        "threshold_high": th.high,
-    }
-
-
-def _barebones_params(o: dict) -> barebones.BareBonesParams:
-    return barebones.BareBonesParams(
-        pi=o["pi"],
-        beta=o["beta"],
-        delta=o["delta"],
-        productivity=o["productivity"],
-        rent=o["rent"],
-        land_supply=o.get("land_supply", 1.0),
-    )
-
-
-_STAT_FUNCS = {
-    "samuelson": _stats_samuelson,
-    "tirole": _stats_tirole,
-    "tirole_crowdin": _stats_tirole,
-    "barebones": _stats_barebones,
-}
-
-_STAT_NAMES = {
-    "samuelson": ("stationary_price", "autarky_rate", "has_bubbly"),
-    "tirole": (
-        "k_fundamental", "r_fundamental", "k_bubbly", "bubble_price", "crowding",
-    ),
-    "tirole_crowdin": (
-        "k_fundamental", "r_fundamental", "k_bubbly", "bubble_price", "crowding",
-    ),
-    "barebones": (
-        "longrun_rate", "regime", "has_bubble", "steady_price", "steady_rate",
-        "price_slope", "min_wealth", "threshold_low", "threshold_high",
-    ),
-}
-
-
-def run_sweep_values(
-    sc: Scenario,
-) -> tuple[list[float], dict[str, list[object]]]:
-    """Evaluate a sweep in memory: the swept grid plus one list per stat."""
-    if not sc.is_sweep:
-        raise ValueError(f"scenario {sc.name!r} is not a sweep")
-    stat_fn = _STAT_FUNCS[sc.model]
-    out: dict[str, list[object]] = {name: [] for name in sc.stats}
-    for v in sc.sweep_values:
-        opts = dict(sc.options)
-        opts[sc.sweep] = v
-        row = stat_fn(opts)
-        for name in sc.stats:
-            out[name].append(row[name])
-    return list(sc.sweep_values), out
-
-
-# ---------------------------------------------------------------------------
-# single runs
-
-
-@dataclass
-class _ModelOutput:
-    path: EquilibriumPath | None
-    report: valuation.BubbleReport | None
-    summary: dict[str, object]
-    columns: tuple[str, ...]
-
-
-def _run_samuelson(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = olg.SamuelsonParams(o["beta"], o["young_endow"], o["old_endow"])
-    eq = olg.samuelson_equilibria(p)
-    summary: dict[str, object] = {
-        "stationary_price": eq.stationary_price
-        if eq.stationary_price is not None
-        else float("nan"),
-        "autarky_rate": olg.autarky_rate(p),
-        "has_bubbly": eq.has_bubbly,
-    }
+def _run_samuelson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+    summary = _samuelson_stats(p)
     p0 = o.get("p0")
     if p0 is None:
-        if eq.stationary_price is None:
+        if not summary["has_bubbly"]:
             raise RunError(
                 "no positive stationary price at these endowments; "
                 "only autarky exists (give p0 to force an attempt)"
             )
-        p0 = eq.stationary_price
+        p0 = summary["stationary_price"]
     path = olg.samuelson_price_path(p, p0, horizon)
     summary["p0"] = p0
-    return _ModelOutput(path, None, summary, _OLG_COLUMNS)
+    return _ModelOutput(summary, path)
 
 
-def _run_weil(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = olg.WeilParams(
-        o["beta"], o["young_endow"], o["old_endow"], o["survival"]
-    )
+def _run_weil(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     use_seed = o["seed"] if seed is None else seed
     price = olg.weil_stationary_price(p)
     if price is None:
@@ -670,18 +504,13 @@ def _run_weil(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
         "collapse_time": path.meta["collapse_time"],
         "mean_collapse_time": path.meta["mean_collapse_time"],
     }
-    return _ModelOutput(path, None, summary, _OLG_COLUMNS)
+    return _ModelOutput(summary, path)
 
 
-def _run_bewley(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = bewley.BewleyParams(
-        o["beta"], o["gamma"], o["growth"], o["rich_endow"], o["poor_endow"]
-    )
+def _run_bewley(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     eq = bewley.bewley_price(p)
     if not eq.exists:
-        return _ModelOutput(
-            None, None, {"exists": False, "reason": eq.reason}, _OLG_COLUMNS
-        )
+        return _ModelOutput({"exists": False, "reason": eq.reason})
     path = bewley.bewley_path(p, horizon)
     checks = bewley.bewley_validate(p, horizon=min(horizon, 1000))
     summary = {
@@ -691,31 +520,38 @@ def _run_bewley(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
         "max_rich_residual": checks["max_rich_residual"],
         "min_poor_slack": checks["min_poor_slack"],
     }
-    return _ModelOutput(path, None, summary, _OLG_COLUMNS)
+    return _ModelOutput(summary, path)
 
 
-def _run_tirole(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = _tirole_params(o)
-    crowdin = p.entrepreneur_prob < 1.0
-    ss = tirole.tirole_crowdin_steady(p) if crowdin else tirole.tirole_steady(p)
-    summary: dict[str, object] = {
+def _tirole_stats(p: tirole.TiroleParams) -> dict[str, object]:
+    ss = tirole.tirole_crowdin_steady(p)
+    b = ss.bubbly
+    return {
         "k_fundamental": ss.k_fundamental,
         "r_fundamental": ss.r_fundamental,
+        "k_bubbly": b.capital if b else math.nan,
+        "bubble_price": b.price if b else math.nan,
+        "crowding": ss.crowding if ss.crowding is not None else "none",
     }
-    if ss.bubbly is not None:
-        summary["k_bubbly"] = ss.bubbly.capital
-        summary["bubble_price"] = ss.bubbly.price
-        summary["bubble_rate"] = ss.bubbly.rate
-    summary["crowding"] = ss.crowding if ss.crowding is not None else "none"
-    if not crowdin:
+
+
+def _run_tirole(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+    stats = _tirole_stats(p)
+    bubbly = stats["crowding"] != "none"
+    summary = {key: stats[key] for key in ("k_fundamental", "r_fundamental")}
+    if bubbly:
+        summary["k_bubbly"] = stats["k_bubbly"]
+        summary["bubble_price"] = stats["bubble_price"]
+        summary["bubble_rate"] = tirole.BubblySteady.rate
+    summary["crowding"] = stats["crowding"]
+    if p.entrepreneur_prob == 1.0:
         summary["savings_residual"] = tirole.savings_identity_residual(p)
-    if crowdin and ss.bubbly is not None:
+    elif bubbly:
         summary["crossover_prob"] = tirole.crossover_pi(p)
-    return _ModelOutput(None, None, summary, ())
+    return _ModelOutput(summary)
 
 
-def _run_wilson(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = wilson.WilsonParams(o["beta"], o["young_endow"], o["dividend"])
+def _run_wilson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     path = wilson.wilson_path(p, horizon)
     test = wilson.wilson_bubble_test(p, horizon=o["test_horizon"])
     summary = {
@@ -723,31 +559,62 @@ def _run_wilson(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
         "has_bubble": test.kind.value == "convergent",
         "tail_ratio": test.tail_ratio,
     }
-    return _ModelOutput(path, None, summary, _WILSON_COLUMNS)
+    return _ModelOutput(summary, path)
 
 
-def _barebones_summary(p: barebones.BareBonesParams) -> dict[str, object]:
+def _land_params(
+    o: dict, productivity: float | None = None, rent: float | None = None
+) -> barebones.BareBonesParams:
+    """The land economy's parameters from scenario options; productivity
+    and rent default to the options of those names."""
+    return barebones.BareBonesParams(
+        pi=o["pi"],
+        beta=o["beta"],
+        delta=o["delta"],
+        productivity=o["productivity"] if productivity is None else productivity,
+        rent=o["rent"] if rent is None else rent,
+        land_supply=o.get("land_supply", 1.0),
+    )
+
+
+def _barebones_stats(p: barebones.BareBonesParams) -> dict[str, object]:
     th = barebones.thresholds(p)
-    regime = barebones.classify_regime(p)
     ss = barebones.steady_state(p)
-    out: dict[str, object] = {
+    regime = barebones.classify_regime(p)
+    return {
+        "longrun_rate": barebones.longrun_rate(p),
         "regime": regime.kind.value,
         "has_bubble": regime.has_bubble,
+        "steady_price": ss.price if ss is not None else math.nan,
+        "steady_rate": ss.rate if ss is not None else math.nan,
+        "price_slope": barebones.price_slope(p),
+        "min_wealth": barebones.min_wealth(p),
         "threshold_low": th.low,
         "threshold_high": th.high,
-        "longrun_rate": barebones.longrun_rate(p),
-        "counterfactual_rate": regime.necessity.counterfactual_rate,
-        "economy_growth": regime.necessity.economy_growth,
     }
-    if ss is not None:
-        out["steady_price"] = ss.price
-        out["steady_rate"] = ss.rate
-    return out
 
 
-def _run_barebones(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    p = _barebones_params(o)
-    summary = _barebones_summary(p)
+def _land_summary(p: barebones.BareBonesParams) -> dict[str, object]:
+    """Regime, thresholds and rates, then the steady state if one exists."""
+    stats = _barebones_stats(p)
+    summary = {
+        key: stats[key]
+        for key in (
+            "regime", "has_bubble", "threshold_low", "threshold_high",
+            "longrun_rate",
+        )
+    }
+    necessity = barebones.classify_regime(p).necessity
+    summary["counterfactual_rate"] = necessity.counterfactual_rate
+    summary["economy_growth"] = necessity.economy_growth
+    if not math.isnan(stats["steady_price"]):
+        summary["steady_price"] = stats["steady_price"]
+        summary["steady_rate"] = stats["steady_rate"]
+    return summary
+
+
+def _run_barebones(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+    summary = _land_summary(p)
     p0, w0 = o.get("p0"), o.get("w0")
     if p0 is not None and w0 is not None:
         raise RunError("give p0 or w0, not both")
@@ -759,62 +626,50 @@ def _run_barebones(o: dict, horizon: int, seed: int | None) -> _ModelOutput:
         path = barebones.simulate_forward(
             p, w0, horizon, require_feasible=o["require_feasible"]
         )
+    elif "steady_price" not in summary:
+        raise RunError(
+            "no steady state at or above the upper threshold; give p0 or w0"
+        )
     else:
-        ss = barebones.steady_state(p)
-        if ss is None:
-            raise RunError(
-                "no steady state at or above the upper threshold; give p0 or w0"
-            )
         path = barebones.steady_path(p, horizon)
     for key in ("w_bound", "feasible"):
         if key in path.meta:
             summary[key] = path.meta[key]
     report = None
-    columns = _BB_COLUMNS
     trunc = o.get("truncation")
     if trunc is not None:
         report = valuation.fundamental_value(path, trunc)
         summary["valuation_verdict"] = report.verdict
         summary["limit_rate"] = report.limit_rate
-        columns = _BB_COLUMNS + ("V", "bubble")
-    return _ModelOutput(path, report, summary, columns)
+    return _ModelOutput(summary, path, report)
 
 
 def _run_barebones_construct(
-    o: dict, horizon: int, seed: int | None
+    p, o: dict, horizon: int, seed: int | None
 ) -> _ModelOutput:
-    p = _barebones_params(o)
     built = barebones.construct_equilibrium(p, o["k0"], horizon)
-    summary = _barebones_summary(p)
+    summary = _land_summary(p)
     summary["prephase_length"] = built.prephase_length
     summary["w_switch"] = built.w_switch
     summary["w_bound"] = built.path.meta["w_bound"]
     summary["prephase_rate_residual"] = built.path.meta[
         "prephase_rate_residual"
     ]
-    return _ModelOutput(built.path, None, summary, _BB_COLUMNS)
+    return _ModelOutput(summary, built.path)
+
+
+def _switch_params(o: dict) -> tuple[barebones.BareBonesParams, ...]:
+    """Parameters before and during the shock window."""
+    return (
+        _land_params(o, o["base_productivity"]),
+        _land_params(o, o["shock_productivity"], o.get("shock_rent")),
+    )
 
 
 def _run_barebones_switch(
-    o: dict, horizon: int, seed: int | None
+    params, o: dict, horizon: int, seed: int | None
 ) -> _ModelOutput:
-    base = barebones.BareBonesParams(
-        pi=o["pi"],
-        beta=o["beta"],
-        delta=o["delta"],
-        productivity=o["base_productivity"],
-        rent=o["rent"],
-        land_supply=o.get("land_supply", 1.0),
-    )
-    shock_rent = o.get("shock_rent")
-    shock = barebones.BareBonesParams(
-        pi=o["pi"],
-        beta=o["beta"],
-        delta=o["delta"],
-        productivity=o["shock_productivity"],
-        rent=o["rent"] if shock_rent is None else shock_rent,
-        land_supply=o.get("land_supply", 1.0),
-    )
+    base, shock = params
     path = barebones.simulate_regime_switch(
         base, shock, o["shock_on"], o["shock_off"], horizon
     )
@@ -825,27 +680,18 @@ def _run_barebones_switch(
         "window": f"[{o['shock_on']}, {o['shock_off']})",
         "arbitrage_violations": len(path.meta["arbitrage_violations"]),
     }
-    return _ModelOutput(path, None, summary, _BB_COLUMNS)
+    return _ModelOutput(summary, path)
 
 
 def _run_barebones_timevarying(
-    o: dict, horizon: int, seed: int | None
+    p, o: dict, horizon: int, seed: int | None
 ) -> _ModelOutput:
-    prod, rent = o["productivity"], o["rent"]
-    p = barebones.BareBonesParams(
-        pi=o["pi"],
-        beta=o["beta"],
-        delta=o["delta"],
-        productivity=prod.value(0),
-        rent=rent.value(0),
-        land_supply=o.get("land_supply", 1.0),
-    )
     res = barebones.simulate_timevarying(
         p,
         o["w0"],
         horizon,
-        productivity=prod,
-        rent=rent,
+        productivity=o["productivity"],
+        rent=o["rent"],
         require_feasible=o["require_feasible"],
     )
     summary = {
@@ -853,21 +699,164 @@ def _run_barebones_timevarying(
         "final_slope_ratio": float(res.slope_ratio[-1]),
         "arbitrage_violations": len(res.violations),
     }
-    return _ModelOutput(res.path, None, summary, _BB_COLUMNS)
+    return _ModelOutput(summary, res.path)
 
 
-_RUNNERS = {
-    "samuelson": _run_samuelson,
-    "weil": _run_weil,
-    "bewley": _run_bewley,
-    "tirole": _run_tirole,
-    "tirole_crowdin": _run_tirole,
-    "wilson": _run_wilson,
-    "barebones": _run_barebones,
-    "barebones_construct": _run_barebones_construct,
-    "barebones_switch": _run_barebones_switch,
-    "barebones_timevarying": _run_barebones_timevarying,
+# ---------------------------------------------------------------------------
+# the model registry
+
+
+def _positional(cls, *keys: str) -> Callable[[dict], object]:
+    """A params builder passing the options under keys to cls, in order."""
+    get = itemgetter(*keys)
+    return lambda o: cls(*get(o))
+
+
+_OLG = _params("beta", "young_endow", "old_endow")
+_BEWLEY = _params("beta", "gamma", "growth", "rich_endow", "poor_endow")
+_LAND = {**_params("pi", "beta", "delta", "productivity", "rent"), **_LAND_SUPPLY}
+
+_TIROLE = ("beta", "alpha", "delta", "tfp")
+
+
+def _tirole_spec(*keys: str) -> ModelSpec:
+    return ModelSpec(
+        schema=_params(*keys),
+        params=_positional(tirole.TiroleParams, *keys),
+        run=_run_tirole,
+        stat_names=(
+            "k_fundamental", "r_fundamental", "k_bubbly", "bubble_price",
+            "crowding",
+        ),
+        stats=_tirole_stats,
+    )
+
+
+MODELS: dict[str, ModelSpec] = {
+    "samuelson": ModelSpec(
+        schema={**_OLG, "p0": Opt("float"), **_HORIZON},
+        params=_positional(olg.SamuelsonParams, *_OLG),
+        run=_run_samuelson,
+        stat_names=("stationary_price", "autarky_rate", "has_bubbly"),
+        stats=_samuelson_stats,
+        columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
+    ),
+    "weil": ModelSpec(
+        schema={
+            **_OLG,
+            **_params("survival"),
+            "seed": Opt("int", default=0),
+            **_HORIZON,
+        },
+        params=_positional(olg.WeilParams, *_OLG, "survival"),
+        run=_run_weil,
+        columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
+    ),
+    "bewley": ModelSpec(
+        schema={**_BEWLEY, **_HORIZON},
+        params=_positional(bewley.BewleyParams, *_BEWLEY),
+        run=_run_bewley,
+        columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
+    ),
+    # tirole is tirole_crowdin without the entrepreneur_prob key: every
+    # young agent is an entrepreneur (TiroleParams' default of 1)
+    "tirole": _tirole_spec(*_TIROLE),
+    "tirole_crowdin": _tirole_spec(*_TIROLE, "entrepreneur_prob"),
+    "wilson": ModelSpec(
+        schema={
+            **_params("beta"),
+            "young_endow": Opt("sequence", required=True),
+            "dividend": Opt("sequence", required=True),
+            **_HORIZON,
+            "test_horizon": Opt("int", default=10_000),
+        },
+        params=_positional(wilson.WilsonParams, "beta", "young_endow", "dividend"),
+        run=_run_wilson,
+        columns=_WILSON_COLUMNS, path_columns=_PATH_COLUMNS,
+    ),
+    "barebones": ModelSpec(
+        schema={
+            **_LAND,
+            **_HORIZON,
+            "p0": Opt("float"),
+            "w0": Opt("float"),
+            "truncation": Opt("int"),
+            "require_feasible": Opt("bool", default=False),
+        },
+        params=_land_params,
+        run=_run_barebones,
+        stat_names=(
+            "longrun_rate", "regime", "has_bubble", "steady_price",
+            "steady_rate", "price_slope", "min_wealth", "threshold_low",
+            "threshold_high",
+        ),
+        stats=_barebones_stats,
+        columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS + _VALUATION_COLUMNS,
+    ),
+    "barebones_construct": ModelSpec(
+        schema={**_LAND, "k0": Opt("float", required=True), **_HORIZON},
+        params=_land_params,
+        run=_run_barebones_construct,
+        columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,
+    ),
+    "barebones_switch": ModelSpec(
+        schema={
+            **_params("pi", "beta", "delta", "rent"),
+            **_LAND_SUPPLY,
+            **_params("base_productivity", "shock_productivity"),
+            "shock_rent": Opt("float", param=True),
+            "shock_on": Opt("int", required=True),
+            "shock_off": Opt("int", required=True),
+            "horizon": Opt("int", default=50),
+        },
+        params=_switch_params,
+        run=_run_barebones_switch,
+        columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,
+    ),
+    "barebones_timevarying": ModelSpec(
+        schema={
+            **_params("pi", "beta", "delta"),
+            **_LAND_SUPPLY,
+            "productivity": Opt("sequence", required=True),
+            "rent": Opt("sequence", required=True),
+            "w0": Opt("float", required=True),
+            **_HORIZON,
+            "require_feasible": Opt("bool", default=True),
+        },
+        params=lambda o: _land_params(
+            o, o["productivity"].value(0), o["rent"].value(0)
+        ),
+        run=_run_barebones_timevarying,
+        columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,
+    ),
 }
+
+
+# ---------------------------------------------------------------------------
+# running
+
+
+def run_sweep_values(
+    sc: Scenario,
+) -> tuple[list[float], dict[str, list[object]]]:
+    """Evaluate a sweep in memory: the swept grid plus one list per stat."""
+    if not sc.is_sweep:
+        raise ValueError(f"scenario {sc.name!r} is not a sweep")
+    spec = MODELS[sc.model]
+    params, stats = spec.params, spec.stats
+    out: dict[str, list[object]] = {name: [] for name in sc.stats}
+    for v in sc.sweep_values:
+        opts = dict(sc.options)
+        opts[sc.sweep] = v
+        try:
+            row = stats(params(opts))
+        except (ValueError, ArithmeticError) as e:
+            raise RunError(
+                f"sweep [{sc.name}] at {sc.sweep} = {v!r}: {e}"
+            ) from e
+        for name in sc.stats:
+            out[name].append(row[name])
+    return list(sc.sweep_values), out
 
 
 @dataclass
@@ -922,16 +911,20 @@ def run_scenario(
             "points": len(values),
         }
     else:
-        run = _RUNNERS[sc.model]
+        spec = MODELS[sc.model]
         h = horizon if horizon is not None else sc.options.get("horizon", 0)
-        output = run(sc.options, h, seed)
+        output = spec.run(spec.params(sc.options), sc.options, h, seed)
         summary = {"model": sc.model, **output.summary}
         if output.path is not None:
-            columns = sc.columns if sc.columns is not None else output.columns
+            columns = sc.columns
+            if columns is None:
+                columns = spec.columns
+                if output.report is not None:
+                    columns += _VALUATION_COLUMNS
             csv_file = out / f"{sc.name}.csv"
             _write(
                 csv_file,
-                csvio.emit_csv(output.path, tuple(columns), output.report),
+                csvio.emit_csv(output.path, columns, output.report),
             )
             files.append(csv_file)
 
@@ -944,14 +937,11 @@ def run_scenario(
 def list_models() -> str:
     """Human-readable registry of models and their scenario keys."""
     lines = []
-    for model in sorted(MODEL_SCHEMAS):
-        schema = MODEL_SCHEMAS[model]
-        parts = []
-        for key, opt in schema.items():
-            mark = key if opt.required else f"[{key}]"
-            parts.append(mark)
-        tail = "" if model not in _NO_PATH_MODELS else "  (no path output)"
-        lines.append(f"{model}: {', '.join(parts)}{tail}")
-        if model in _STAT_NAMES:
-            lines.append(f"  sweep stats: {', '.join(_STAT_NAMES[model])}")
+    for model in sorted(MODELS):
+        spec = MODELS[model]
+        keys = [k if opt.required else f"[{k}]" for k, opt in spec.schema.items()]
+        tail = "" if spec.columns else "  (no path output)"
+        lines.append(f"{model}: {', '.join(keys)}{tail}")
+        if spec.stats is not None:
+            lines.append(f"  sweep stats: {', '.join(spec.stat_names)}")
     return "\n".join(lines) + "\n"

@@ -83,28 +83,26 @@ def _bubbly_steady(p: TiroleParams) -> BubblySteady | None:
 
 
 def tirole_steady(p: TiroleParams) -> TiroleSteadyStates:
-    """Steady states when every young agent can hold capital (pi = 1)."""
+    """Steady states when every young agent can hold capital: the pi = 1
+    case of tirole_crowdin_steady."""
     if p.entrepreneur_prob != 1.0:
         raise ValueError("tirole_steady requires entrepreneur_prob = 1")
-    k_f = (p.beta * p.tfp * (1.0 - p.alpha)) ** (1.0 / (1.0 - p.alpha))
-    r_f = (1.0 / p.beta) * (p.alpha / (1.0 - p.alpha)) + 1.0 - p.delta
-    bub = _bubbly_steady(p)
-    crowding = None
-    if bub is not None:
-        crowding = "in" if bub.capital > k_f else "out"
-    return TiroleSteadyStates(
-        k_fundamental=k_f, r_fundamental=r_f, bubbly=bub, crowding=crowding
+    return tirole_crowdin_steady(p)
+
+
+def _fundamental_capital(p: TiroleParams, pi: float) -> float:
+    # only the entrepreneurs' savings become capital
+    return (p.beta * p.tfp * (1.0 - p.alpha) * pi**p.alpha) ** (
+        1.0 / (1.0 - p.alpha)
     )
 
 
 def tirole_crowdin_steady(p: TiroleParams) -> TiroleSteadyStates:
-    """Steady states with limited participation (pi <= 1; pi = 1 reduces to
-    tirole_steady). The fundamental rate reported is the marginal product of
-    productive capital, alpha/(beta*pi*(1-alpha)) + 1 - delta."""
+    """Steady states with limited participation (pi <= 1). The fundamental
+    rate reported is the marginal product of productive capital,
+    alpha/(beta*pi*(1-alpha)) + 1 - delta."""
     pi = p.entrepreneur_prob
-    k_f = (p.beta * p.tfp * (1.0 - p.alpha) * pi**p.alpha) ** (
-        1.0 / (1.0 - p.alpha)
-    )
+    k_f = _fundamental_capital(p, pi)
     r_f = p.alpha / (p.beta * pi * (1.0 - p.alpha)) + 1.0 - p.delta
     bub = _bubbly_steady(p)
     crowding = None
@@ -122,15 +120,12 @@ def crossover_pi(p: TiroleParams, tol: float = 1e-10) -> float:
     Exists only when the bubbly steady state does (then K_f(1) > K_b and
     K_f(pi) -> 0 as pi -> 0). Raises otherwise.
     """
-    if _bubbly_steady(p) is None:
+    bub = _bubbly_steady(p)
+    if bub is None:
         raise ValueError("no bubbly steady state, so no crowding crossover")
-    k_b = (p.tfp * p.alpha / p.delta) ** (1.0 / (1.0 - p.alpha))
 
     def gap(pi: float) -> float:
-        k_f = (p.beta * p.tfp * (1.0 - p.alpha) * pi**p.alpha) ** (
-            1.0 / (1.0 - p.alpha)
-        )
-        return k_f - k_b
+        return _fundamental_capital(p, pi) - bub.capital
 
     lo, hi = 1e-6, 1.0
     if gap(lo) >= 0.0 or gap(hi) <= 0.0:

@@ -87,6 +87,25 @@ def test_value_conversion_errors():
     assert "number" in err(bb_text("a", 0.4).replace("0.95", "fast"))
     assert "integer" in err(bb_text("a", 0.4, "horizon = 4.5\n"))
     assert "true or false" in err(bb_text("a", 0.4, "require_feasible = maybe\n"))
+    # non-finite numbers are rejected where they are written
+    msg = err(bb_text("a", 0.4).replace("0.95", "nan"))
+    assert "finite" in msg and "test.ini:4" in msg and "beta" in msg
+    msg = err(bb_text("a", 0.4, "p0 = -inf\n"))
+    assert "finite" in msg and "test.ini:8" in msg and "p0" in msg
+    assert "finite" in err(
+        "[s]\nmodel = samuelson\nbeta = 0.5\nyoung_endow = 3\nold_endow = inf\n"
+    )
+    assert "finite" in err(
+        "[c]\nmodel = barebones_construct\n" + BB_KEYS.format(a=0.4) + "k0 = inf\n"
+    )
+    assert "finite" in err(
+        "[w]\nmodel = wilson\nbeta = 0.6\n"
+        "young_endow = geometric(1.0, inf)\ndividend = [0.1, nan]\n"
+    )
+    assert "finite" in err(
+        "[g]\nmodel = barebones\nsweep = productivity\nvalues = [0.1, inf]\n"
+        "stats = regime\npi = 0.1\nbeta = 0.95\ndelta = 0.08\nrent = 1.0\n"
+    )
 
 
 def test_schema_errors():
@@ -110,6 +129,21 @@ def test_column_validation():
         "[a]\nmodel = tirole\nbeta = 0.95\nalpha = 0.33\ndelta = 0.6\n"
         "tfp = 1.0\ncolumns = t, P\n"
     )
+    # each model's spec names the columns its path can write
+    weil = (
+        "[w]\nmodel = weil\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n"
+        "survival = 0.9\ncolumns = t, {}\n"
+    )
+    assert one(weil.format("price_rent")).columns == ("t", "price_rent")
+    msg = err(weil.format("W"))
+    assert "does not write column 'W'" in msg and "test.ini:7" in msg
+    switch = (
+        "[s]\nmodel = barebones_switch\npi = 0.1\nbeta = 0.95\ndelta = 0.08\n"
+        "rent = 1.0\nbase_productivity = 0.4\nshock_productivity = 0.7\n"
+        "shock_on = 1\nshock_off = 11\ncolumns = t, {}\n"
+    )
+    assert one(switch.format("phi")).columns == ("t", "phi")
+    assert "does not write column 'V'" in err(switch.format("V"))
 
 
 def test_sequence_values():
@@ -292,6 +326,24 @@ def test_run_sweep_csv(tmp_path):
     assert res.summary["points"] == 3
 
 
+def test_sweep_failure_names_scenario_and_point(tmp_path, capsys):
+    text = (
+        "[grid]\nmodel = barebones\nsweep = productivity\n"
+        "values = [0.5, -0.1]\nstats = regime\n"
+        "pi = 0.1\nbeta = 0.95\ndelta = 0.08\nrent = 1.0\n"
+    )
+    with pytest.raises(RunError) as exc:
+        run_sweep_values(one(text))
+    msg = str(exc.value)
+    assert "[grid]" in msg and "productivity = -0.1" in msg
+    assert "productivity must be nonnegative" in msg
+
+    ini = tmp_path / "s.ini"
+    ini.write_text(text)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "[grid] at productivity = -0.1" in capsys.readouterr().err
+
+
 def test_run_sweep_values_in_memory():
     sc = one(
         "[g]\nmodel = barebones\nsweep = productivity\n"
@@ -355,6 +407,17 @@ def test_cli_validate(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     assert main(["validate", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_cli_validate_checks_columns(tmp_path, capsys):
+    # a column the model cannot write fails validation, not only the run
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        "[w]\nmodel = weil\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n"
+        "survival = 0.9\ncolumns = t, W\n"
+    )
+    assert main(["validate", str(bad)]) == 2
+    assert "does not write column 'W'" in capsys.readouterr().err
 
 
 def test_cli_run(tmp_path, capsys):
