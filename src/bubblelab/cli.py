@@ -68,9 +68,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         selected = scenarios
     for sc in selected:
-        result = run_scenario(
-            sc, args.out_dir, horizon=args.horizon, seed=args.seed
-        )
+        try:
+            result = run_scenario(
+                sc, args.out_dir, horizon=args.horizon, seed=args.seed
+            )
+        except (RunError, FeasibilityError, ConstructionError, ValueError) as e:
+            raise RunError(f"{args.file} [{sc.name}]: {e}") from e
         for f in result.files:
             print(f"wrote {f}")
     return 0

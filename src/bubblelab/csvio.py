@@ -1,13 +1,13 @@
 """CSV emission for equilibrium paths and sweep tables.
 
 Format contract: comma separators, LF line endings, a header row, floats at
-12 significant digits, fields quoted RFC-4180 style when they need it.
-Deterministic byte-for-byte given the same inputs.
+12 significant digits (``%.12g``: ``nan``, ``inf``, ``-inf``, ``-0``), fields
+quoted RFC-4180 style when they need it. Deterministic byte for byte given
+the same inputs. Cells are formatted a column at a time; numbers never need
+quoting, so only the header and text cells go through ``quote_field``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,13 +16,13 @@ from .valuation import BubbleReport
 
 PATH_COLUMNS = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield", "V", "bubble")
 
+_PATH_FIELDS = dict(P="price", D="dividend", R="rate", W="wealth", K="capital", phi="phi")
+
+_format_g12 = "%.12g".__mod__
+
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".12g")
+    return _format_g12(x)
 
 
 def quote_field(s: str) -> str:
@@ -31,44 +31,33 @@ def quote_field(s: str) -> str:
     return s
 
 
-def render_csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(quote_field(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(quote_field(f) for f in row))
+def render_csv(header: list[str], columns: list[list[str]]) -> str:
+    """Join columns of formatted cells (text cells already quoted) row by
+    row, under the quoted header."""
+    lines = [",".join(map(quote_field, header)), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
-def _column_values(
-    path: EquilibriumPath, name: str, report: BubbleReport | None
-) -> list[str]:
-    n = len(path)
-    if name == "t":
-        return [str(t) for t in range(n)]
-    simple = {
-        "P": path.price,
-        "D": path.dividend,
-        "R": path.rate,
-        "W": path.wealth,
-        "K": path.capital,
-        "phi": path.phi,
-    }
-    if name in simple:
-        arr = simple[name]
+def column_array(
+    path: EquilibriumPath, name: str, report: BubbleReport | None = None
+) -> np.ndarray:
+    """The float values of path column ``name`` (every column but ``t``).
+    ``V`` and ``bubble`` stop one truncation window before the path's end."""
+    if name in _PATH_FIELDS:
+        arr = getattr(path, _PATH_FIELDS[name])
         if arr is None:
             raise ValueError(f"column {name!r} is not defined for this path")
-        return [format_float(v) for v in arr]
+        return arr
     if name == "price_rent":
-        return [format_float(v) for v in path.price_rent()]
+        return path.price_rent()
     if name == "yield":
-        return [format_float(v) for v in path.dividend_yield()]
+        return path.dividend_yield()
     if name in ("V", "bubble"):
         if report is None:
             raise ValueError(
                 f"column {name!r} requires a valuation run on this scenario"
             )
-        arr = report.fundamental if name == "V" else report.bubble_component
-        # valuation is undefined within one truncation window of the end
-        return [format_float(v) for v in arr] + [""] * (n - arr.size)
+        return report.fundamental if name == "V" else report.bubble_component
     raise ValueError(f"unknown column {name!r}; known: {', '.join(PATH_COLUMNS)}")
 
 
@@ -77,26 +66,37 @@ def emit_csv(
     columns: tuple[str, ...],
     report: BubbleReport | None = None,
 ) -> str:
-    """Serialize selected columns of a path."""
+    """Serialize selected columns of a path; ``V`` and ``bubble`` cells are
+    blank where the valuation is undefined."""
     if len(columns) == 0:
         raise ValueError("at least one column required")
-    cols = [_column_values(path, name, report) for name in columns]
-    rows = [list(r) for r in zip(*cols)]
-    return render_csv(list(columns), rows)
+    n = len(path)
+    cols = []
+    for name in columns:
+        if name == "t":
+            cols.append(list(map(str, range(n))))
+            continue
+        arr = column_array(path, name, report)
+        cols.append(list(map(_format_g12, arr.tolist())) + [""] * (n - arr.size))
+    return render_csv(list(columns), cols)
 
 
-def emit_table_csv(header: list[str], rows: list[list[object]]) -> str:
-    """Serialize a generic table (sweeps, summaries): floats at 12
-    significant digits, everything else via str."""
-    out_rows = []
-    for row in rows:
-        out = []
-        for v in row:
-            if isinstance(v, bool):
-                out.append("true" if v else "false")
-            elif isinstance(v, (float, np.floating)):
-                out.append(format_float(float(v)))
-            else:
-                out.append(str(v))
-        out_rows.append(out)
-    return render_csv(header, out_rows)
+def _table_cell(v: object) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return _format_g12(v)
+    return quote_field(str(v))
+
+
+def emit_table_csv(header: list[str], columns: list[list[object]]) -> str:
+    """Serialize a table given as one list per header name (sweeps,
+    summaries): floats at 12 significant digits, booleans as ``true`` and
+    ``false``, everything else via str."""
+    cells = [
+        list(map(_format_g12, col))
+        if all(isinstance(v, float) for v in col)
+        else list(map(_table_cell, col))
+        for col in columns
+    ]
+    return render_csv(header, cells)

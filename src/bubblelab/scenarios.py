@@ -29,6 +29,7 @@ into the output directory. Output is deterministic byte for byte.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
 from .paths import EquilibriumPath
-from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, constant
+from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
 
 
 class ScenarioError(ValueError):
@@ -880,8 +881,43 @@ def _summary_text(summary: dict[str, object]) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write through a temporary file in the same directory and rename it
+    into place, so that a failed write leaves no partial output."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _check_finite(
+    sc: Scenario,
+    path: EquilibriumPath,
+    columns: tuple[str, ...],
+    report: valuation.BubbleReport | None,
+) -> None:
+    """Raise RunError at the first non-finite cell a path CSV would hold.
+    NaN is allowed in the final R (no return after the last period) and in
+    R and yield from a Weil bubble's collapse on (a zero price)."""
+    n = len(path)
+    collapse = path.meta.get("collapse_time")
+    nan_from = {"R": n - 1} if collapse is None else {"R": collapse, "yield": collapse}
+    for name in columns:
+        if name == "t":
+            continue
+        arr = csvio.column_array(path, name, report)
+        bad = ~np.isfinite(arr)
+        start = nan_from.get(name, arr.size)
+        bad[start:] &= ~np.isnan(arr[start:])
+        if bad.any():
+            t = int(bad.argmax())
+            raise RunError(
+                f"[{sc.name}] column {name!r} is {csvio.format_float(arr[t])} "
+                f"at t = {t}; only finite values are written"
+            )
 
 
 def run_scenario(
@@ -898,12 +934,9 @@ def run_scenario(
     if sc.is_sweep:
         values, stats = run_sweep_values(sc)
         header = [sc.sweep, *sc.stats]
-        rows = [
-            [v, *(stats[name][i] for name in sc.stats)]
-            for i, v in enumerate(values)
-        ]
+        table = [values, *(stats[name] for name in sc.stats)]
         sweep_file = out / f"{sc.name}_sweep.csv"
-        _write(sweep_file, csvio.emit_table_csv(header, rows))
+        _write(sweep_file, csvio.emit_table_csv(header, table))
         files.append(sweep_file)
         summary: dict[str, object] = {
             "model": sc.model,
@@ -921,6 +954,7 @@ def run_scenario(
                 columns = spec.columns
                 if output.report is not None:
                     columns += _VALUATION_COLUMNS
+            _check_finite(sc, output.path, columns, output.report)
             csv_file = out / f"{sc.name}.csv"
             _write(
                 csv_file,

@@ -1,6 +1,8 @@
 """Scenario file parsing, schema validation, runners, CSV output, and the
 command line entry point."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from bubblelab import (
     run_sweep_values,
     serialize_scenario,
 )
+from bubblelab import scenarios
 from bubblelab.cli import main
 from tests.test_barebones import RHO_HIGH, SS_RATE
 
@@ -202,6 +205,11 @@ def test_sweep_errors():
     assert "missing required key" in err(good.replace("rent = 1.0\n", ""))
 
 
+def test_converter_annotations_resolve():
+    hints = typing.get_type_hints(scenarios._sequence)
+    assert hints["return"] is scenarios.Sequence
+
+
 def test_serialize_round_trip():
     texts = [
         bb_text("a", 0.4, "truncation = 40\ncolumns = t, P, V\nhorizon = 99\n"),
@@ -301,6 +309,69 @@ def test_run_barebones_valuation_columns(tmp_path):
     assert lines[82].split(",")[9] == ""
     assert res.summary["valuation_verdict"] == "fundamental"
     assert res.summary["limit_rate"] == pytest.approx(SS_RATE, abs=1e-9)
+
+
+SAMUELSON_PRICE_RENT = (
+    "[pr]\nmodel = samuelson\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n"
+    "columns = t, P, price_rent\n"
+)
+
+
+# the long bubbly path overflows to inf inside the land-economy recurrence
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_refuses_non_finite_paths(tmp_path):
+    with pytest.raises(RunError) as exc:
+        run_scenario(one(bb_text("big", 0.7, "p0 = 5\nhorizon = 20000\n")), tmp_path)
+    assert "[big] column 'P' is inf at t = " in str(exc.value)
+    # P/D of a zero-dividend asset is inf in every row
+    with pytest.raises(RunError, match=r"\[pr\] column 'price_rent' is inf at t = 0"):
+        run_scenario(one(SAMUELSON_PRICE_RENT), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_writes_nan_after_weil_collapse(tmp_path):
+    sc = one(
+        "[w]\nmodel = weil\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n"
+        "survival = 0.5\nseed = 1\nhorizon = 30\ncolumns = t, P, R, yield\n"
+    )
+    res = run_scenario(sc, tmp_path)
+    c = res.summary["collapse_time"]
+    assert 0 < c < 30
+    rows = [ln.split(",") for ln in (tmp_path / "w.csv").read_text().splitlines()[1:]]
+    assert rows[c - 1][2:] == ["0", "0"]  # the collapse return is a true zero
+    assert all(r[1:] == ["0", "nan", "nan"] for r in rows[c:])
+
+
+@pytest.mark.parametrize("existing", [None, "old contents\n"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    target = tmp_path / "out.csv"
+    if existing is not None:
+        target.write_text(existing)
+
+    class DiskFull:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, name, mode, newline):
+            self.fh = open(name, mode, newline=newline)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(scenarios, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        scenarios._write(target, "t,P\n" * 1000)
+    left = [f.name for f in tmp_path.iterdir()]
+    assert left == ([] if existing is None else ["out.csv"])
+    if existing is not None:
+        assert target.read_text() == existing
 
 
 def test_run_sweep_csv(tmp_path):
@@ -446,4 +517,9 @@ def test_cli_run_failure_exits_one(tmp_path, capsys):
     ini = tmp_path / "f.ini"
     ini.write_text(bb_text("f", 0.7, "w0 = 5.0\nrequire_feasible = true\n"))
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
-    assert "error:" in capsys.readouterr().err
+    # the message names the file and the scenario
+    assert capsys.readouterr().err.startswith(f"error: {ini} [f]: ")
+
+    ini.write_text(SAMUELSON_PRICE_RENT)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"error: {ini} [pr]: " in capsys.readouterr().err
