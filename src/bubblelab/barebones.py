@@ -50,7 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .paths import EquilibriumPath, gross_rates
-from .recur import UNIT_SLOPE_TOL, AffineRecurrence
+from .recur import UNIT_SLOPE_TOL, AffineRecurrence, affine_path
 from .sequences import Sequence, constant
 
 
@@ -267,15 +267,24 @@ def _snapped_slope(p: BareBonesParams) -> float:
     return 1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else rho
 
 
+def _wealth_drift(p: BareBonesParams) -> float:
+    return p.rent * p.land_supply / _savings_split(p)
+
+
+def _arbitrage_violations(
+    price: np.ndarray, rate: np.ndarray, capital_ret: np.ndarray
+) -> list[int]:
+    """Periods t whose land return R_t beats the capital return at t+1
+    (capital bought at t pays at t+1). A step into a non-finite price is an
+    overflow of the path, not an arbitrage, and is not counted."""
+    beats = rate[:-1] > capital_ret[1:] * (1.0 + 1e-12)
+    return np.flatnonzero(beats & np.isfinite(price[1:])).tolist()
+
+
 def _full_investment_path(
     p: BareBonesParams, w0: float, horizon: int, meta: dict
 ) -> EquilibriumPath:
-    rho = _snapped_slope(p)
-    drift_w = p.rent * p.land_supply / _savings_split(p)
-    w = np.empty(horizon + 1)
-    w[0] = w0
-    for t in range(1, horizon + 1):
-        w[t] = rho * w[t - 1] + drift_w
+    w = affine_path(_snapped_slope(p), _wealth_drift(p), w0, horizon)
     price = p.beta * (1.0 - p.pi) * w / p.land_supply
     dividend = np.full(horizon + 1, p.rent)
     path = EquilibriumPath(
@@ -453,21 +462,15 @@ def construct_equilibrium(
 
     j, w0, shares = found
     n = horizon + 1
-    wealth = np.empty(n)
     phi = np.full(n, p.pi)
     if j <= horizon:
-        wealth[j] = w0
+        wealth = np.empty(n)
+        wealth[j:] = affine_path(_snapped_slope(p), _wealth_drift(p), w0, horizon - j)
         for s in range(j - 1, -1, -1):
             wealth[s] = wealth[s + 1] / brk
-        rho = _snapped_slope(p)
-        drift_w = dx / _savings_split(p)
-        for s in range(j + 1, n):
-            wealth[s] = rho * wealth[s - 1] + drift_w
         phi[:j] = shares
     else:
-        wealth[0] = w0 * math.exp(-j * math.log(brk))
-        for s in range(1, n):
-            wealth[s] = brk * wealth[s - 1]
+        wealth = affine_path(brk, 0.0, w0 * math.exp(-j * math.log(brk)), horizon)
         phi[:] = shares[:n]
 
     price = p.beta * (1.0 - phi) * wealth / p.land_supply
@@ -538,24 +541,14 @@ def simulate_regime_switch(
     in_window = np.zeros(n, dtype=bool)
     in_window[t_on:t_off] = True
 
-    wealth = np.empty(n)
-    dividend = np.empty(n)
-    wealth[0] = ss.wealth
-    dividend[0] = p_shock.rent if in_window[0] else p_base.rent
-    for t in range(1, n):
-        q = p_shock if in_window[t] else p_base
-        wealth[t] = _snapped_slope(q) * wealth[t - 1] + q.rent * q.land_supply / (
-            _savings_split(q)
-        )
-        dividend[t] = q.rent
+    dividend = np.where(in_window, p_shock.rent, p_base.rent)
+    slope = np.where(in_window, _snapped_slope(p_shock), _snapped_slope(p_base))
+    drift = np.where(in_window, _wealth_drift(p_shock), _wealth_drift(p_base))
+    wealth = affine_path(slope[1:], drift[1:], ss.wealth, horizon)
     price = p_base.beta * (1.0 - p_base.pi) * wealth / p_base.land_supply
     rate = gross_rates(price, dividend)
-
-    violations = []
-    for t in range(n - 1):
-        q_next = p_shock if in_window[t + 1] else p_base
-        if rate[t] > capital_return(q_next) * (1.0 + 1e-12):
-            violations.append(t)
+    cap = np.where(in_window, capital_return(p_shock), capital_return(p_base))
+    violations = _arbitrage_violations(price, rate, cap)
 
     return EquilibriumPath(
         price=price,
@@ -617,19 +610,12 @@ def simulate_timevarying(
         raise ValueError("rent sequence must be positive")
 
     split = _savings_split(p)
-    wealth = np.empty(n)
-    wealth[0] = w0
-    for t in range(1, n):
-        slope_t = p.beta * p.pi * (a[t] + 1.0 - p.delta) / split
-        wealth[t] = slope_t * wealth[t - 1] + d[t] * p.land_supply / split
+    slope = p.beta * p.pi * (a[1:] + 1.0 - p.delta) / split
+    wealth = affine_path(slope, d[1:] * p.land_supply / split, w0, horizon)
     price = p.beta * (1.0 - p.pi) * wealth / p.land_supply
     rate = gross_rates(price, d)
 
-    violations = tuple(
-        t
-        for t in range(n - 1)
-        if rate[t] > (a[t + 1] + 1.0 - p.delta) * (1.0 + 1e-12)
-    )
+    violations = tuple(_arbitrage_violations(price, rate, a + 1.0 - p.delta))
     if require_feasible and violations:
         raise FeasibilityError(
             f"land return exceeds the capital return at t = {violations[0]}; "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import EquilibriumPath, gross_rates
-from .recur import AffineRecurrence
+from .recur import AffineRecurrence, affine_path
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,7 @@ def samuelson_price_path(
             f"p0 must lie in (0, {eq.stationary_price}], got {p0}"
         )
     rec = inverse_price_recurrence(p, p0)
-    inv = np.empty(horizon + 1)
-    x = rec.initial
-    inv[0] = x
-    for t in range(1, horizon + 1):
-        x = rec.slope * x + rec.drift
-        inv[t] = x
-    price = 1.0 / inv
+    price = 1.0 / affine_path(rec.slope, rec.drift, rec.initial, horizon)
     dividend = np.zeros(horizon + 1)
     path = EquilibriumPath(
         price=price,

@@ -5,8 +5,9 @@ Every model in this package eventually reduces to iterating
     x_{t+1} = rho * x_t + c
 
 in some transformed variable: inverse prices, wealth levels, price-rent
-ratios. This module holds that recurrence once, in closed form, together
-with the two classifiers the models share:
+ratios. This module holds that recurrence once: ``affine_path`` is the one
+kernel that steps it, and ``solve_affine`` its closed form. Beside them sit
+the two classifiers the models share:
 
 * ``classify_limit`` -- the long-run behaviour of the recurrence itself
   (converges, drifts linearly, or explodes geometrically), and
@@ -85,18 +86,29 @@ def solve_affine(rec: AffineRecurrence, t: int) -> float:
     return power * rec.initial + rec.drift * geom_sum
 
 
-def iterate_affine(rec: AffineRecurrence, horizon: int) -> np.ndarray:
-    """Step-by-step trajectory x_0..x_horizon (the oracle for solve_affine)."""
+def affine_path(slope, drift, initial: float, horizon: int) -> np.ndarray:
+    """Trajectory x_0..x_horizon of x_0 = initial, x_t = slope_t x_{t-1} + drift_t.
+
+    ``slope`` and ``drift`` are scalars or arrays of length ``horizon``
+    (entry t-1 drives step t). The steps run in Python floats, so an
+    explosive path overflows to inf without a numpy warning.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    slopes = np.broadcast_to(np.asarray(slope, dtype=float), (horizon,)).tolist()
+    drifts = np.broadcast_to(np.asarray(drift, dtype=float), (horizon,)).tolist()
+    x = float(initial)
+    out = [x]
+    for a, c in zip(slopes, drifts):
+        x = a * x + c
+        out.append(x)
+    return np.array(out)
+
+
+def iterate_affine(rec: AffineRecurrence, horizon: int) -> np.ndarray:
+    """Step-by-step trajectory x_0..x_horizon (the oracle for solve_affine)."""
     slope = 1.0 if rec.unit_slope else rec.slope
-    out = np.empty(horizon + 1)
-    x = rec.initial
-    out[0] = x
-    for t in range(1, horizon + 1):
-        x = slope * x + rec.drift
-        out[t] = x
-    return out
+    return affine_path(slope, rec.drift, rec.initial, horizon)
 
 
 class LimitKind(str, Enum):

@@ -80,6 +80,22 @@ def no_arbitrage_residuals(path: EquilibriumPath) -> np.ndarray:
     return np.abs(rhs - lhs) / np.abs(lhs)
 
 
+def _window_sums(
+    logq: np.ndarray, dividend: np.ndarray, T: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted dividends over each window of T periods and the window's
+    end discount: sum_{s<=T} (q_{t+s}/q_t) D_{t+s} and q_{t+T}/q_t for
+    t = 0..n-1-T, from logq = -log q. O(n T)."""
+    m = logq.size - T
+    sums = np.empty(m)
+    q_end_ratio = np.empty(m)
+    for t in range(m):
+        ratios = np.exp(logq[t] - logq[t + 1 : t + T + 1])
+        sums[t] = float(ratios @ dividend[t + 1 : t + T + 1])
+        q_end_ratio[t] = ratios[-1]
+    return sums, q_end_ratio
+
+
 def truncation_identity_residuals(
     path: EquilibriumPath, truncation: int
 ) -> np.ndarray:
@@ -92,14 +108,9 @@ def truncation_identity_residuals(
     if not (1 <= T <= n - 1):
         raise ValueError("truncation must lie in [1, n-1]")
     logq = np.concatenate(([0.0], np.cumsum(np.log(rates))))  # -log q_t
+    pv, qr_end = _window_sums(logq, path.dividend, T)
     m = n - T
-    out = np.empty(m)
-    for t in range(m):
-        ratios = np.exp(logq[t] - logq[t + 1 : t + T + 1])
-        pv = float(ratios @ path.dividend[t + 1 : t + T + 1])
-        resale = ratios[-1] * path.price[t + T]
-        out[t] = abs(pv + resale - path.price[t]) / path.price[t]
-    return out
+    return np.abs(pv + qr_end * path.price[T:] - path.price[:m]) / path.price[:m]
 
 
 @dataclass(frozen=True)
@@ -160,12 +171,7 @@ def fundamental_value(path: EquilibriumPath, truncation: int) -> BubbleReport:
     div_m = max(10, n // 10)
     div_tail_min = float(np.min(path.dividend[-div_m:]))
 
-    trunc_sum = np.empty(m)
-    qr_end = np.empty(m)    # q_{t+T} / q_t
-    for t in range(m):
-        ratios = np.exp(logq[t] - logq[t + 1 : t + T + 1])
-        trunc_sum[t] = float(ratios @ path.dividend[t + 1 : t + T + 1])
-        qr_end[t] = ratios[-1]
+    trunc_sum, qr_end = _window_sums(logq, path.dividend, T)
 
     if limit_rate <= 1.0 and div_tail_min > 0.0:
         # geometric continuation diverges: the path cannot be valued

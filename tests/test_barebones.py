@@ -479,6 +479,20 @@ def test_timevarying_feasibility():
     assert res.path.rate[0] > capital_return(p)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflow_step_is_not_an_arbitrage_violation():
+    # P overflows to inf at t = 1908, so land's return at t = 1907 is inf:
+    # an overflow of the path, not land outrunning capital
+    p = BareBonesParams(pi=0.5, beta=0.95, delta=0.1, productivity=0.7, rent=1.0)
+    res = simulate_timevarying(p, w0=50.0, horizon=20000)
+    assert np.isfinite(res.path.price[1907]) and res.path.price[1908] == np.inf
+    assert res.violations == ()
+    # a bubbly shock window long enough to overflow the boom
+    path = simulate_regime_switch(cp(0.4), cp(3.0), t_on=1, t_off=2001, horizon=2000)
+    assert path.price[-1] == np.inf
+    assert path.meta["arbitrage_violations"] == []
+
+
 def test_timevarying_growing_rents_shift_the_boundary():
     # with rents growing at G, the bubble needs the price-rent slope
     # beta pi (A+1-delta) / ((1-beta+beta pi) G) above one

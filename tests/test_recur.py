@@ -12,6 +12,7 @@ from bubblelab.recur import (
     classify_limit,
     classify_series,
     classify_series_exact,
+    affine_path,
     iterate_affine,
     solve_affine,
 )
@@ -148,6 +149,54 @@ def test_monotone_approach_to_fixed_point():
         # monotone while above the float plateau around the fixed point
         live = np.abs(gaps[:-1]) > 1e-12 * (1.0 + abs(fp))
         assert np.all(np.abs(gaps[1:])[live] <= np.abs(gaps[:-1])[live])
+
+
+# --- the stepping kernel -----------------------------------------------
+
+
+def reference_affine_path(slope, drift, initial, horizon):
+    """The per-step loop the models ran before the shared kernel."""
+    slope = np.broadcast_to(slope, horizon)
+    drift = np.broadcast_to(drift, horizon)
+    out = np.empty(horizon + 1)
+    out[0] = initial
+    with np.errstate(over="ignore"):
+        for t in range(1, horizon + 1):
+            out[t] = slope[t - 1] * out[t - 1] + drift[t - 1]
+    return out
+
+
+_rng = np.random.default_rng(11)
+AFFINE_PATH_CASES = {
+    "scalar": (0.5, 1.0, 0.0, 3),
+    "scalar_explosive": (RHO_HIGH, DRIFT, 5.0, 600),
+    "arrays": (_rng.uniform(0.5, 1.5, 40), _rng.uniform(-1.0, 3.0, 40), 2.0, 40),
+    "array_drift": (0.3, _rng.uniform(0.0, 1.0, 25), 1.0, 25),
+    "horizon_0": (0.5, 1.0, 7.5, 0),
+    "overflow": (10.0, 1.0, 1.0, 400),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", AFFINE_PATH_CASES)
+def test_affine_path_matches_per_step_loop(case):
+    slope, drift, x0, horizon = AFFINE_PATH_CASES[case]
+    got = affine_path(slope, drift, x0, horizon)
+    assert got.shape == (horizon + 1,)
+    assert got.tobytes() == reference_affine_path(slope, drift, x0, horizon).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_affine_path_overflows_to_inf_without_warning():
+    path = affine_path(*AFFINE_PATH_CASES["overflow"])
+    assert np.isfinite(path[308]) and np.all(path[309:] == math.inf)
+
+
+def test_affine_path_rejects_negative_horizon():
+    with pytest.raises(ValueError):
+        affine_path(0.5, 1.0, 0.0, -1)
+    with pytest.raises(ValueError):
+        iterate_affine(AffineRecurrence(0.5, 1.0, 0.0), -1)
 
 
 # --- series classification ---------------------------------------------

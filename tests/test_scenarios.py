@@ -317,12 +317,23 @@ SAMUELSON_PRICE_RENT = (
 )
 
 
-# the long bubbly path overflows to inf inside the land-economy recurrence
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+# A long bubbly path overflows to inf inside the land-economy recurrence,
+# without a numpy warning; the finite check refuses it. The time-varying
+# path overflows at t = 1908, and the step into the overflow is not an
+# arbitrage violation, so its run fails on the finite check, not at t = 1907.
+TIMEVARYING_OVERFLOW = (
+    "[tv]\nmodel = barebones_timevarying\npi = 0.5\nbeta = 0.95\ndelta = 0.1\n"
+    "productivity = constant(0.7)\nrent = constant(1)\nw0 = 50\nhorizon = 20000\n"
+)
+
+
+@pytest.mark.filterwarnings("error")
 def test_run_refuses_non_finite_paths(tmp_path):
     with pytest.raises(RunError) as exc:
         run_scenario(one(bb_text("big", 0.7, "p0 = 5\nhorizon = 20000\n")), tmp_path)
     assert "[big] column 'P' is inf at t = " in str(exc.value)
+    with pytest.raises(RunError, match=r"\[tv\] column 'P' is inf at t = 1908;"):
+        run_scenario(one(TIMEVARYING_OVERFLOW), tmp_path)
     # P/D of a zero-dividend asset is inf in every row
     with pytest.raises(RunError, match=r"\[pr\] column 'price_rent' is inf at t = 0"):
         run_scenario(one(SAMUELSON_PRICE_RENT), tmp_path)
@@ -513,12 +524,20 @@ def test_cli_run(tmp_path, capsys):
     assert "no scenario named" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_run_failure_exits_one(tmp_path, capsys):
     ini = tmp_path / "f.ini"
     ini.write_text(bb_text("f", 0.7, "w0 = 5.0\nrequire_feasible = true\n"))
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
     # the message names the file and the scenario
     assert capsys.readouterr().err.startswith(f"error: {ini} [f]: ")
+
+    # an overflowing path: the error line is all that reaches stderr
+    ini.write_text(bb_text("big", 0.7, "p0 = 5\nhorizon = 20000\n"))
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {ini} [big]: [big] column 'P' is inf")
 
     ini.write_text(SAMUELSON_PRICE_RENT)
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
