@@ -94,7 +94,8 @@ def samuelson_price_path(
 
     Admissible starts are exactly (0, stationary_price]; anything else is
     rejected (prices above the stationary level explode and violate the
-    young's budget in finite time).
+    young's budget in finite time). A start below it deflates toward zero;
+    a horizon that reaches a price below the smallest double is rejected.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -109,6 +110,12 @@ def samuelson_price_path(
         )
     rec = inverse_price_recurrence(p, p0)
     price = 1.0 / affine_path(rec.slope, rec.drift, rec.initial, horizon)
+    zero = np.flatnonzero(price == 0.0)
+    if zero.size:
+        raise ValueError(
+            f"the price underflows to zero at t = {zero[0]}: the equilibrium "
+            "price is positive but below the smallest double"
+        )
     dividend = np.zeros(horizon + 1)
     path = EquilibriumPath(
         price=price,

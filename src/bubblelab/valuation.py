@@ -64,12 +64,13 @@ def _usable_rates(path: EquilibriumPath) -> np.ndarray:
     return rates
 
 
+def _log_discount(rates: np.ndarray) -> np.ndarray:
+    """-log q_t for t = 0..n-1: zero, then the compounded log returns."""
+    return np.concatenate(([0.0], np.cumsum(np.log(rates))))
+
+
 def discount_factors(path: EquilibriumPath) -> DiscountPath:
-    rates = _usable_rates(path)
-    q = np.empty(path.price.size)
-    q[0] = 1.0
-    q[1:] = np.exp(-np.cumsum(np.log(rates)))
-    return DiscountPath(q=q)
+    return DiscountPath(q=np.exp(-_log_discount(_usable_rates(path))))
 
 
 def no_arbitrage_residuals(path: EquilibriumPath) -> np.ndarray:
@@ -85,15 +86,28 @@ def _window_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discounted dividends over each window of T periods and the window's
     end discount: sum_{s<=T} (q_{t+s}/q_t) D_{t+s} and q_{t+T}/q_t for
-    t = 0..n-1-T, from logq = -log q. O(n T)."""
-    m = logq.size - T
-    sums = np.empty(m)
-    q_end_ratio = np.empty(m)
-    for t in range(m):
-        ratios = np.exp(logq[t] - logq[t + 1 : t + T + 1])
-        sums[t] = float(ratios @ dividend[t + 1 : t + T + 1])
-        q_end_ratio[t] = ratios[-1]
-    return sums, q_end_ratio
+    t = 0..n-1-T, from logq = -log q. Sliding sums without subtraction
+    (van Herk/Gil-Werman): each window is the suffix sum of its block of T
+    terms plus the prefix sum of the next block, each summed relative to its
+    block's start and rescaled to t."""
+    n = logq.size
+    m = n - T
+    nb = -(-n // T)                    # blocks of windows t = kT..kT+T-1
+    anchor = logq[: nb * T : T]        # -log q at each block's start
+    k = np.arange(n) // T              # block of term t+1 and of window t
+    terms = np.zeros(nb * T)
+    terms[: n - 1] = np.exp(anchor[k[: n - 1]] - logq[1:]) * dividend[1:]
+    blocks = terms.reshape(nb, T)
+    suffix = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    prefix = np.zeros((nb, T))         # sums of a block's terms before each slot
+    np.cumsum(blocks[:, :-1], axis=1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+    head = logq[:m]
+    sums = (
+        np.exp(head - anchor[k[:m]]) * suffix[:m]
+        + np.exp(head - anchor[k[:m] + 1]) * prefix[T:n]
+    )
+    return sums, np.exp(head - logq[T:])
 
 
 def truncation_identity_residuals(
@@ -107,8 +121,7 @@ def truncation_identity_residuals(
     T = truncation
     if not (1 <= T <= n - 1):
         raise ValueError("truncation must lie in [1, n-1]")
-    logq = np.concatenate(([0.0], np.cumsum(np.log(rates))))  # -log q_t
-    pv, qr_end = _window_sums(logq, path.dividend, T)
+    pv, qr_end = _window_sums(_log_discount(rates), path.dividend, T)
     m = n - T
     return np.abs(pv + qr_end * path.price[T:] - path.price[:m]) / path.price[:m]
 
@@ -143,9 +156,8 @@ def fundamental_value(path: EquilibriumPath, truncation: int) -> BubbleReport:
         raise ValueError("dividends must be nonnegative")
 
     rates = _usable_rates(path)
-    logq = np.concatenate(([0.0], np.cumsum(np.log(rates))))
-    q = np.exp(-logq)
-    tvc = float(q[-1] * path.price[-1])
+    logq = _log_discount(rates)
+    tvc = float(np.exp(-logq[-1]) * path.price[-1])
     m = n - T
 
     tail_m = max(10, rates.size // 10)

@@ -88,6 +88,14 @@ def test_path_rejects_inadmissible_starts():
         samuelson_price_path(poor, p0=0.1, horizon=10)
 
 
+def test_path_rejects_a_price_that_underflows_to_zero():
+    # 1/P grows like 2^t, so P = 0.5 falls below the smallest double
+    # around t = 650; the error names the first zero price
+    assert samuelson_price_path(P, p0=0.5, horizon=646).price[-1] > 0.0
+    with pytest.raises(ValueError, match=r"underflows to zero at t = 647:"):
+        samuelson_price_path(P, p0=0.5, horizon=5000)
+
+
 def test_random_admissible_starts_stay_positive_and_die_out():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -542,3 +542,17 @@ def test_cli_run_failure_exits_one(tmp_path, capsys):
     ini.write_text(SAMUELSON_PRICE_RENT)
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
     assert f"error: {ini} [pr]: " in capsys.readouterr().err
+
+
+def test_cli_names_the_underflow_of_a_deflating_samuelson_price(tmp_path, capsys):
+    ini = tmp_path / "s.ini"
+    ini.write_text(
+        "[s]\nmodel = samuelson\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n"
+        "p0 = 0.5\nhorizon = 5000\n"
+    )
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [s]: the price underflows to zero at t = 647: the "
+        "equilibrium price is positive but below the smallest double\n"
+    )
+    assert not (tmp_path / "o" / "s.csv").exists()

@@ -24,6 +24,7 @@ from bubblelab import (
     thresholds,
     truncation_identity_residuals,
 )
+from bubblelab.valuation import _log_discount, _window_sums
 from tests.test_barebones import RHO_HIGH, SS_RATE, cp
 
 SAM = SamuelsonParams(beta=0.5, young_endow=3.0, old_endow=1.0)
@@ -137,15 +138,19 @@ def test_pure_bubble_paths_short_circuit():
     assert np.all(rep.fundamental == 0.0)
 
 
-def test_divergent_dividend_sum_is_flagged():
-    # price decays while dividends stay at 1: the terminal rate sits below
-    # one and no finite present value exists
+def falling_rate_path():
+    # price decays while dividends stay at 1: every rate sits below one
     t = np.arange(400, dtype=float)
     price = 1e6 * 0.99 ** t
     dividend = np.ones(400)
-    path = EquilibriumPath(
+    return EquilibriumPath(
         price=price, dividend=dividend, rate=gross_rates(price, dividend)
     )
+
+
+def test_divergent_dividend_sum_is_flagged():
+    # the terminal rate sits below one and no finite present value exists
+    path = falling_rate_path()
     rep = fundamental_value(path, truncation=50)
     assert rep.infinite_pv
     assert rep.verdict == "inconclusive"
@@ -229,3 +234,103 @@ def test_detectors_agree_with_regime_classifier():
         expected = "bubbly" if has_bubble else "fundamental"
         assert det == expected
         assert rep == expected
+
+
+# --- the window-sum kernel against its oracles ------------------------------
+
+
+def reference_window_sums(logq, dividend, T):
+    """The O(n T) loop the sliding kernel replaced: one slice per window."""
+    m = logq.size - T
+    sums = np.empty(m)
+    q_end_ratio = np.empty(m)
+    for t in range(m):
+        ratios = np.exp(logq[t] - logq[t + 1 : t + T + 1])
+        sums[t] = float(ratios @ dividend[t + 1 : t + T + 1])
+        q_end_ratio[t] = ratios[-1]
+    return sums, q_end_ratio
+
+
+def random_logq(trend, n, rng):
+    """-log q along n periods of noisy log returns: falling (R < 1), flat,
+    rising (R > 1), or mixed (booms and busts of about 20 periods)."""
+    if trend == "mixed":
+        drift = 0.05 * np.sign(np.sin(np.arange(n - 1) / 7.0))
+    else:
+        drift = {"falling": -0.03, "flat": 0.0, "rising": 0.03}[trend]
+    steps = drift + rng.normal(0.0, 0.05, n - 1)
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 800.0], ids=["q_finite", "q_underflows"])
+@pytest.mark.parametrize("n", [2, 97, 256])
+@pytest.mark.parametrize("trend", ["falling", "flat", "rising", "mixed"])
+def test_window_sums_match_loop(trend, n, offset):
+    rng = np.random.default_rng([n, int(offset)])
+    logq = offset + random_logq(trend, n, rng)
+    if offset:
+        assert np.all(np.exp(-logq) == 0.0)  # q_t itself is not a double
+    dividend = rng.uniform(0.0, 2.0, n)
+    for T in sorted({1, 2, 3, 10, 64, n // 3, n - 2, n - 1} & set(range(1, n))):
+        sums, q_end = _window_sums(logq, dividend, T)
+        ref_sums, ref_q_end = reference_window_sums(logq, dividend, T)
+        assert np.array_equal(q_end, ref_q_end)
+        assert np.max(np.abs(sums - ref_sums) / ref_sums) <= 1e-13, T
+
+
+def test_valuation_where_discount_factors_underflow():
+    # -log q passes 745 near t = 33 000: q_t underflows to zero, yet every
+    # window spans only T periods and values exactly
+    path = steady_path(cp(0.4), horizon=40_000)
+    assert discount_factors(path).q[-1] == 0.0
+    T = 1000
+    rep = fundamental_value(path, truncation=T)
+    assert rep.verdict == "fundamental"
+    assert rep.tvc_estimate == 0.0
+    sums, _ = _window_sums(_log_discount(path.rate[:-1]), path.dividend, T)
+    closed = (1.0 - SS_RATE ** (-T)) / (SS_RATE - 1.0)  # sum_{s<=T} R^-s
+    assert np.allclose(sums, closed, rtol=1e-12, atol=0.0)
+    assert np.max(truncation_identity_residuals(path, T)) <= 1e-10
+
+
+def mp_window_sums(logq, dividend, T):
+    """The window sums at 50 significant digits, from the same -log q."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lq = [mpmath.mpf(float(x)) for x in logq]
+        # prefix sums of q_s D_s; 50 digits absorb their cancellation
+        prefix = [mpmath.mpf(0)]
+        for s in range(1, len(lq)):
+            prefix.append(prefix[-1] + mpmath.exp(-lq[s]) * float(dividend[s]))
+        return np.array(
+            [
+                float(mpmath.exp(lq[t]) * (prefix[t + T] - prefix[t]))
+                for t in range(len(lq) - T)
+            ]
+        )
+
+
+def near_boundary_path(offset):
+    # productivity within 1e-6 of the upper threshold: rho -> 1, rates
+    # still drifting toward one at the end of the path
+    a = thresholds(cp(0.4)).high + offset
+    return simulate_from_price(cp(a), p0=5.0, horizon=600)
+
+
+@pytest.mark.parametrize(
+    "make_path",
+    [
+        lambda: near_boundary_path(-5e-7),
+        lambda: near_boundary_path(5e-7),
+        falling_rate_path,
+    ],
+    ids=["below_threshold_high", "above_threshold_high", "rates_below_one"],
+)
+def test_window_sums_match_50_digit_oracle(make_path):
+    path = make_path()
+    logq = _log_discount(path.rate[:-1])
+    n = logq.size
+    for T in (1, 37, 200, n - 1):
+        sums, _ = _window_sums(logq, path.dividend, T)
+        exact = mp_window_sums(logq, path.dividend, T)
+        assert np.max(np.abs(sums - exact) / exact) <= 1e-13, T
