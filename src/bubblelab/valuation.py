@@ -46,6 +46,7 @@ INCONCLUSIVE = "inconclusive"
 _RATE_SPREAD_TOL = 1e-6    # tail rates must be this flat to extrapolate
 _BOUND_MULTIPLE = 3.0      # bubble must clear this many tail bounds
 _NEGLIGIBLE_TAIL = 1e-3    # tail bound vs price for a Fundamental verdict
+_BLOCK_SPAN = 200.0        # nats of -log q one block of window terms may span
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,29 @@ def discount_factors(path: EquilibriumPath) -> DiscountPath:
 
 
 def no_arbitrage_residuals(path: EquilibriumPath) -> np.ndarray:
-    """Relative residuals of q_t P_t = q_{t+1} (P_{t+1} + D_{t+1})."""
-    q = discount_factors(path).q
-    lhs = q[:-1] * path.price[:-1]
-    rhs = q[1:] * (path.price[1:] + path.dividend[1:])
+    """Relative residuals of q_t P_t = q_{t+1} (P_{t+1} + D_{t+1}), checked
+    through the one-period ratios q_{t+1}/q_t, so a path whose q_t underflows
+    checks too."""
+    logq = _log_discount(_usable_rates(path))
+    lhs = path.price[:-1]
+    rhs = np.exp(logq[:-1] - logq[1:]) * (path.price[1:] + path.dividend[1:])
     return np.abs(rhs - lhs) / np.abs(lhs)
+
+
+def _block_length(logq: np.ndarray, T: int) -> int:
+    """T, halved until no block of that many periods spans more than
+    _BLOCK_SPAN nats of -log q, counting the period before its first term."""
+    B = T
+    while B > 1:
+        nb = -(-(logq.size - 1) // B)
+        ext = np.concatenate((logq, np.full(nb * B + 1 - logq.size, logq[-1])))
+        body = ext[:-1].reshape(nb, B)
+        ends = ext[B::B]
+        span = np.maximum(body.max(axis=1), ends) - np.minimum(body.min(axis=1), ends)
+        if span.max() <= _BLOCK_SPAN:
+            break
+        B = (B + 1) // 2
+    return B
 
 
 def _window_sums(
@@ -87,26 +106,37 @@ def _window_sums(
     """Discounted dividends over each window of T periods and the window's
     end discount: sum_{s<=T} (q_{t+s}/q_t) D_{t+s} and q_{t+T}/q_t for
     t = 0..n-1-T, from logq = -log q. Sliding sums without subtraction
-    (van Herk/Gil-Werman): each window is the suffix sum of its block of T
-    terms plus the prefix sum of the next block, each summed relative to its
-    block's start and rescaled to t."""
+    (van Herk/Gil-Werman): the terms are cut into blocks of B <= T, each
+    summed relative to its block's start, and a window is the suffix of its
+    first block, the whole blocks after it and the prefix of its last one,
+    each rescaled to t. Every rescale factor is a ratio q_u/q_t with
+    t < u <= t+T, which the direct sum forms too, or, for the suffix, lies
+    within one block and so within e^(+-_BLOCK_SPAN)."""
     n = logq.size
     m = n - T
-    nb = -(-n // T)                    # blocks of windows t = kT..kT+T-1
-    anchor = logq[: nb * T : T]        # -log q at each block's start
-    k = np.arange(n) // T              # block of term t+1 and of window t
-    terms = np.zeros(nb * T)
+    B = _block_length(logq, T)
+    nb = -(-n // B)
+    anchor = logq[: nb * B : B]        # -log q at each block's start
+    k = np.arange(n) // B              # block of term t+1 and of window t
+    terms = np.zeros(nb * B)
     terms[: n - 1] = np.exp(anchor[k[: n - 1]] - logq[1:]) * dividend[1:]
-    blocks = terms.reshape(nb, T)
-    suffix = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    prefix = np.zeros((nb, T))         # sums of a block's terms before each slot
+    blocks = terms.reshape(nb, B)
+    suffix = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1]
+    total = suffix[:, 0]
+    suffix = suffix.ravel()
+    prefix = np.zeros((nb, B))         # sums of a block's terms before each slot
     np.cumsum(blocks[:, :-1], axis=1, out=prefix[:, 1:])
     prefix = prefix.ravel()
     head = logq[:m]
+    first, last = k[:m], k[T:n]        # blocks of terms t+1 and t+T+1
     sums = (
-        np.exp(head - anchor[k[:m]]) * suffix[:m]
-        + np.exp(head - anchor[k[:m] + 1]) * prefix[T:n]
+        np.exp(head - anchor[first]) * suffix[:m]
+        + np.exp(head - anchor[last]) * prefix[T:n]
     )
+    for i in range(1, (T - 1) // B + 1):   # whole blocks, only when B < T
+        whole = first + i < last
+        j = first[whole] + i
+        sums[whole] += np.exp(head[whole] - anchor[j]) * total[j]
     return sums, np.exp(head - logq[T:])
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bubblelab import (
+    BareBonesParams,
     BewleyParams,
     EquilibriumPath,
     SamuelsonParams,
@@ -253,29 +254,63 @@ def reference_window_sums(logq, dividend, T):
 
 def random_logq(trend, n, rng):
     """-log q along n periods of noisy log returns: falling (R < 1), flat,
-    rising (R > 1), or mixed (booms and busts of about 20 periods)."""
+    rising (R > 1), mixed (booms and busts of about 20 periods), steeply
+    rising or falling (one block of T periods spans hundreds of nats), or a
+    cliff (one period returns e^300)."""
     if trend == "mixed":
         drift = 0.05 * np.sign(np.sin(np.arange(n - 1) / 7.0))
+    elif trend == "cliff":
+        drift = np.where(np.arange(n - 1) == n // 2, 300.0, 0.0)
     else:
-        drift = {"falling": -0.03, "flat": 0.0, "rising": 0.03}[trend]
+        drift = {
+            "falling": -0.03,
+            "flat": 0.0,
+            "rising": 0.03,
+            "steep_rising": 3.0,
+            "steep_falling": -1.5,
+        }[trend]
     steps = drift + rng.normal(0.0, 0.05, n - 1)
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-@pytest.mark.parametrize("offset", [0.0, 800.0], ids=["q_finite", "q_underflows"])
-@pytest.mark.parametrize("n", [2, 97, 256])
-@pytest.mark.parametrize("trend", ["falling", "flat", "rising", "mixed"])
-def test_window_sums_match_loop(trend, n, offset):
-    rng = np.random.default_rng([n, int(offset)])
-    logq = offset + random_logq(trend, n, rng)
-    if offset:
-        assert np.all(np.exp(-logq) == 0.0)  # q_t itself is not a double
+@pytest.mark.parametrize(
+    "trend, n",
+    [(trend, n) for trend in ("falling", "flat", "rising", "mixed") for n in (2, 97, 256)]
+    + [("steep_rising", 601), ("steep_falling", 256), ("cliff", 256)],
+)
+def test_window_sums_match_loop(trend, n):
+    rng = np.random.default_rng([n, 0])
+    logq = random_logq(trend, n, rng)
+    if trend == "steep_rising":
+        assert np.exp(-logq[-1]) == 0.0  # q_t itself is not a double
     dividend = rng.uniform(0.0, 2.0, n)
-    for T in sorted({1, 2, 3, 10, 64, n // 3, n - 2, n - 1} & set(range(1, n))):
+    windows = {1, 2, 3, 10, 64, n // 3, n // 2, n - 2, n - 1} & set(range(1, n))
+    for T in sorted(windows):
         sums, q_end = _window_sums(logq, dividend, T)
         ref_sums, ref_q_end = reference_window_sums(logq, dividend, T)
         assert np.array_equal(q_end, ref_q_end)
         assert np.max(np.abs(sums - ref_sums) / ref_sums) <= 1e-13, T
+
+
+@pytest.mark.filterwarnings("error")
+def test_valuation_of_a_land_only_path_with_rate_two():
+    # R = 2: a block of T = 1500 periods spans 1040 nats of -log q, more
+    # than a double's exponent range; the windows still value exactly
+    land_only = BareBonesParams(
+        pi=0.1, beta=0.5, delta=0.08, productivity=0.0, rent=1.0
+    )
+    path = steady_path(land_only, horizon=3000)
+    assert np.all(path.rate[:-1] == 2.0)
+    T = 1500
+    rep = fundamental_value(path, truncation=T)
+    assert rep.verdict == "fundamental"
+    logq = _log_discount(path.rate[:-1])
+    sums, _ = _window_sums(logq, path.dividend, T)
+    # -log q is a running sum of log 2, so its differences carry its rounding
+    assert np.allclose(sums, 1.0 - 2.0 ** (-T), rtol=1e-12, atol=0.0)
+    ref_sums, _ = reference_window_sums(logq, path.dividend, T)
+    assert np.max(np.abs(sums - ref_sums) / ref_sums) <= 1e-13
+    assert np.max(truncation_identity_residuals(path, T)) <= 1e-12
 
 
 def test_valuation_where_discount_factors_underflow():
@@ -283,6 +318,7 @@ def test_valuation_where_discount_factors_underflow():
     # window spans only T periods and values exactly
     path = steady_path(cp(0.4), horizon=40_000)
     assert discount_factors(path).q[-1] == 0.0
+    assert np.max(no_arbitrage_residuals(path)) <= 1e-10
     T = 1000
     rep = fundamental_value(path, truncation=T)
     assert rep.verdict == "fundamental"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bubblelab import (  # noqa: E402
@@ -42,7 +42,7 @@ def barebones_equilibria(draw):
         productivity=low + draw(st.floats(0.01, 1.0)) * (2.0 * high - low),
         rent=draw(st.floats(0.1, 5.0)),
     )
-    horizon = draw(st.integers(2, 400))
+    horizon = draw(st.integers(2, 3000))
     kind = draw(st.sampled_from(["from_price", "construct", "regime_switch"]))
     if kind == "from_price":
         return simulate_from_price(p, draw(st.floats(0.01, 100.0)), horizon)
@@ -57,9 +57,12 @@ def barebones_equilibria(draw):
     return simulate_regime_switch(base, p, t_on, t_off, horizon)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(path=barebones_equilibria(), data=st.data())
 def test_identities_hold_on_random_equilibria(path, data):
+    # an unbalanced bubbly path grows geometrically and can leave the
+    # doubles within the horizon; only representable paths are equilibria here
+    assume(np.all(np.isfinite(path.price)))
     n = path.price.size
     T = data.draw(st.integers(1, n - 1), label="truncation")
     assert np.max(no_arbitrage_residuals(path)) <= RESIDUAL_TOL
