@@ -7,8 +7,6 @@ a valuation layer that decomposes prices into discounted dividends plus a
 residual bubble component.
 """
 
-from __future__ import annotations
-
 from .barebones import (
     BareBonesParams,
     ConstructedEquilibrium,
@@ -93,88 +91,3 @@ from .valuation import (
 from .wilson import WilsonParams, necessity_report, wilson_bubble_test, wilson_path
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineRecurrence",
-    "BareBonesParams",
-    "BewleyEquilibrium",
-    "BewleyParams",
-    "BubbleReport",
-    "ConstructedEquilibrium",
-    "ConstructionError",
-    "EquilibriumPath",
-    "ExplicitSeq",
-    "FeasibilityError",
-    "GeometricSeq",
-    "LimitClass",
-    "LimitKind",
-    "PolynomialSeq",
-    "Regime",
-    "RegimeKind",
-    "RunError",
-    "RunResult",
-    "SamuelsonParams",
-    "Scenario",
-    "ScenarioError",
-    "SeriesClass",
-    "SeriesKind",
-    "SteadyState",
-    "Thresholds",
-    "TimeVaryingResult",
-    "TiroleParams",
-    "TiroleSteadyStates",
-    "WeilParams",
-    "WilsonParams",
-    "autarky_rate",
-    "balanced_rate",
-    "bewley_path",
-    "bewley_price",
-    "bewley_validate",
-    "capital_return",
-    "classify_limit",
-    "classify_regime",
-    "classify_series",
-    "classify_series_exact",
-    "constant",
-    "construct_equilibrium",
-    "crossover_pi",
-    "detect_bubble",
-    "discount_factors",
-    "fundamental_value",
-    "gross_rates",
-    "iterate_affine",
-    "list_models",
-    "load_scenarios",
-    "longrun_rate",
-    "min_wealth",
-    "necessity_report",
-    "no_arbitrage_residuals",
-    "parse_scenarios",
-    "price_drift",
-    "price_recurrence",
-    "price_slope",
-    "run_scenario",
-    "run_sweep_values",
-    "samuelson_equilibria",
-    "savings_identity_residual",
-    "samuelson_price_path",
-    "serialize_scenario",
-    "simulate_forward",
-    "simulate_from_price",
-    "simulate_regime_switch",
-    "simulate_timevarying",
-    "solve_affine",
-    "steady_path",
-    "steady_state",
-    "threshold_values",
-    "thresholds",
-    "timevarying_threshold",
-    "tirole_crowdin_steady",
-    "tirole_steady",
-    "truncation_identity_residuals",
-    "weil_sample_path",
-    "weil_stationary_price",
-    "wilson_bubble_test",
-    "wilson_path",
-    "__version__",
-]

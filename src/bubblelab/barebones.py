@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +92,7 @@ class BareBonesParams:
             raise ValueError("land_supply must be positive")
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     low: float    # below: capital unused, land-only steady state
     high: float   # at and above: no steady state, prices unbounded
 
@@ -148,8 +148,7 @@ class RegimeKind(str, Enum):
     BUBBLY_UNBALANCED = "bubbly_unbalanced"
 
 
-@dataclass(frozen=True)
-class NecessityTriple:
+class NecessityTriple(NamedTuple):
     """Rate comparison behind bubble existence: the counterfactual balanced
     rate against rent growth (1, rents are constant here) and the economy's
     long-run growth factor max(1, rho)."""
@@ -163,8 +162,7 @@ class NecessityTriple:
         return self.counterfactual_rate < self.rent_growth < self.economy_growth
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     kind: RegimeKind
     necessity: NecessityTriple
 
@@ -195,8 +193,7 @@ def classify_regime(p: BareBonesParams) -> Regime:
     return Regime(kind=kind, necessity=necessity)
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     regime: RegimeKind
     rate: float
     price: float
@@ -368,8 +365,7 @@ def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
     )
 
 
-@dataclass(frozen=True)
-class ConstructedEquilibrium:
+class ConstructedEquilibrium(NamedTuple):
     prephase_length: int       # j: periods of interior phi before full investment
     w_switch: float            # wealth at the switch to full investment
     path: EquilibriumPath      # re-indexed so the economy starts at t = 0
@@ -566,8 +562,7 @@ def simulate_regime_switch(
     )
 
 
-@dataclass(frozen=True)
-class TimeVaryingResult:
+class TimeVaryingResult(NamedTuple):
     path: EquilibriumPath
     price_rent: np.ndarray      # P_t / D_t
     slope_ratio: np.ndarray     # price-rent map slope each period (t >= 1)

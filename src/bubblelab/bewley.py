@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +51,7 @@ def marginal_utility(c: float | np.ndarray, gamma: float):
     return c ** (-gamma)
 
 
-@dataclass(frozen=True)
-class BewleyEquilibrium:
+class BewleyEquilibrium(NamedTuple):
     exists: bool
     price_level: float | None   # p in P_t = p * G^t
     reason: str                  # why not, when exists is False

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .barebones import ConstructionError, FeasibilityError
+from .barebones import ConstructionError
 from .scenarios import (
     RunError,
     ScenarioError,
@@ -72,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = run_scenario(
                 sc, args.out_dir, horizon=args.horizon, seed=args.seed
             )
-        except (RunError, FeasibilityError, ConstructionError, ValueError) as e:
+        except (RunError, ConstructionError, ValueError) as e:
             raise RunError(f"{args.file} [{sc.name}]: {e}") from e
         for f in result.files:
             print(f"wrote {f}")
@@ -102,10 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RunError, FeasibilityError, ConstructionError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (RunError, ConstructionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -26,7 +26,7 @@ def format_float(x: float) -> str:
 
 
 def quote_field(s: str) -> str:
-    if any(c in s for c in ',"\n\r'):
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
         return '"' + s.replace('"', '""') + '"'
     return s
 
@@ -81,12 +81,20 @@ def emit_csv(
     return render_csv(list(columns), cols)
 
 
-def _table_cell(v: object) -> str:
+def _format_value(v: object) -> str:
+    """A table cell or run-summary value as text: booleans as ``true`` and
+    ``false``, floats at 12 significant digits, anything else via str.
+    Private, as a per-cell helper: the benchmark's span tracer wraps every
+    public bubblelab function, and a span per cell would swamp its trace."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return _format_g12(v)
-    return quote_field(str(v))
+    return str(v)
+
+
+def _table_cell(v: object) -> str:
+    return quote_field(_format_value(v))
 
 
 def emit_table_csv(header: list[str], columns: list[list[object]]) -> str:

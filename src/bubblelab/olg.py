@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ class SamuelsonParams:
             raise ValueError("old_endow must be positive")
 
 
-@dataclass(frozen=True)
-class SamuelsonEquilibria:
+class SamuelsonEquilibria(NamedTuple):
     """The full equilibrium set: autarky always exists; the bubbly interval
     (0, stationary_price] exists iff stationary_price is not None."""
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -118,8 +118,7 @@ class LimitKind(str, Enum):
     EXPONENTIAL_DIVERGENCE = "exponential_divergence"
 
 
-@dataclass(frozen=True)
-class LimitClass:
+class LimitClass(NamedTuple):
     """Long-run tag plus its datum: the limit for the convergent kinds, the
     per-period increment for linear divergence, the slope for exponential."""
 
@@ -158,8 +157,7 @@ class SeriesKind(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SeriesClass:
+class SeriesClass(NamedTuple):
     """Finite-horizon summability verdict; tail_ratio is the estimated
     geometric decay rate of the terms (mean of the last 10% of ratios)."""
 

@@ -32,9 +32,9 @@ import math
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +55,10 @@ class RunError(RuntimeError):
 # raw parsing
 
 
-@dataclass
-class _RawSection:
+class _RawSection(NamedTuple):
     name: str
     line: int
-    pairs: dict[str, tuple[str, int]] = field(default_factory=dict)
+    pairs: dict[str, tuple[str, int]]
 
 
 def _split_sections(text: str, source: str) -> list[_RawSection]:
@@ -83,7 +82,7 @@ def _split_sections(text: str, source: str) -> list[_RawSection]:
                     f"{source}:{lineno}: duplicate scenario {name!r}"
                 )
             seen.add(name)
-            current = _RawSection(name=name, line=lineno)
+            current = _RawSection(name=name, line=lineno, pairs={})
             sections.append(current)
             continue
         if current is None:
@@ -204,8 +203,7 @@ _CONVERTERS = dict(float=_float, int=_int, bool=_bool, sequence=_sequence)
 # model schemas
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(NamedTuple):
     kind: str                 # a key of _CONVERTERS
     required: bool = False
     default: object = None
@@ -232,8 +230,7 @@ _WILSON_COLUMNS = _OLG_COLUMNS + ("yield",)
 _BB_COLUMNS = _OLG_COLUMNS + ("W", "K", "phi", "price_rent")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """One model as the scenario runner sees it.
 
     ``params`` turns resolved options into the model's parameter object,
@@ -253,8 +250,7 @@ class ModelSpec:
     path_columns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     model: str
     options: dict[str, object]
@@ -458,8 +454,7 @@ def serialize_scenario(sc: Scenario) -> str:
 # per-model parameters, statistics and runners
 
 
-@dataclass
-class _ModelOutput:
+class _ModelOutput(NamedTuple):
     summary: dict[str, object]
     path: EquilibriumPath | None = None
     report: valuation.BubbleReport | None = None
@@ -541,9 +536,10 @@ def _run_tirole(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     bubbly = stats["crowding"] != "none"
     summary = {key: stats[key] for key in ("k_fundamental", "r_fundamental")}
     if bubbly:
-        summary["k_bubbly"] = stats["k_bubbly"]
-        summary["bubble_price"] = stats["bubble_price"]
-        summary["bubble_rate"] = tirole.BubblySteady.rate
+        bub = tirole.BubblySteady(stats["k_bubbly"], stats["bubble_price"])
+        summary["k_bubbly"] = bub.capital
+        summary["bubble_price"] = bub.price
+        summary["bubble_rate"] = bub.rate
     summary["crowding"] = stats["crowding"]
     if p.entrepreneur_prob == 1.0:
         summary["savings_residual"] = tirole.savings_identity_residual(p)
@@ -860,23 +856,14 @@ def run_sweep_values(
     return list(sc.sweep_values), out
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     scenario: str
     files: list[Path]
     summary: dict[str, object]
 
 
 def _summary_text(summary: dict[str, object]) -> str:
-    lines = []
-    for key, val in summary.items():
-        if isinstance(val, bool):
-            s = "true" if val else "false"
-        elif isinstance(val, (float, np.floating)):
-            s = csvio.format_float(float(val))
-        else:
-            s = str(val)
-        lines.append(f"{key} = {s}")
+    lines = [f"{key} = {csvio._format_value(val)}" for key, val in summary.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,13 @@ class TiroleParams:
             raise ValueError("entrepreneur_prob must lie in (0,1]")
 
 
-@dataclass(frozen=True)
-class BubblySteady:
+class BubblySteady(NamedTuple):
     capital: float
     price: float
     rate: float = 1.0   # constant-price asset in fixed supply
 
 
-@dataclass(frozen=True)
-class TiroleSteadyStates:
+class TiroleSteadyStates(NamedTuple):
     k_fundamental: float
     r_fundamental: float
     bubbly: BubblySteady | None

@@ -32,7 +32,7 @@ the series classifier's verdict maps directly to bubble / no bubble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,14 +49,26 @@ _NEGLIGIBLE_TAIL = 1e-3    # tail bound vs price for a Fundamental verdict
 _BLOCK_SPAN = 200.0        # nats of -log q one block of window terms may span
 
 
-@dataclass(frozen=True)
-class DiscountPath:
+class DiscountPath(NamedTuple):
     """Compounded discount factors q_t along a realized path."""
 
     q: np.ndarray
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise at the first non-finite entry, naming its value and t: a path
+    that overflowed the doubles has no valuation, and its D/inf = 0 yields
+    would pass for a converging series."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        t = int(bad.argmax())
+        raise ValueError(
+            f"{name} is {values[t]} at t = {t}; valuation needs finite values"
+        )
+
+
 def _usable_rates(path: EquilibriumPath) -> np.ndarray:
+    _require_finite("price", path.price)
     rates = path.rate[:-1]   # the final entry is NaN by construction
     if rates.size == 0:
         raise ValueError("path too short to discount")
@@ -156,8 +168,7 @@ def truncation_identity_residuals(
     return np.abs(pv + qr_end * path.price[T:] - path.price[:m]) / path.price[:m]
 
 
-@dataclass(frozen=True)
-class BubbleReport:
+class BubbleReport(NamedTuple):
     fundamental: np.ndarray       # V_t, defined for t = 0..n-1-truncation
     bubble_component: np.ndarray  # P_t - V_t on the same range
     tail_bound: np.ndarray        # truncation error scale, same range
@@ -195,63 +206,31 @@ def fundamental_value(path: EquilibriumPath, truncation: int) -> BubbleReport:
     limit_rate = float(np.mean(rate_tail))
     rate_spread = float(np.max(rate_tail) - np.min(rate_tail))
 
+    price = path.price[:m]
+    infinite_pv = False
     if not np.any(path.dividend > 0.0):
-        # pure bubble: the fundamental is exactly zero
-        zeros = np.zeros(m)
-        return BubbleReport(
-            fundamental=zeros,
-            bubble_component=path.price[:m].copy(),
-            tail_bound=zeros,
-            limit_rate=limit_rate,
-            rate_spread=rate_spread,
-            verdict=BUBBLY,
-            infinite_pv=False,
-            tvc_estimate=tvc,
-            truncation=T,
-        )
+        # pure bubble: the fundamental is exactly zero, and so is its bound
+        fundamental = tail_bound = np.zeros(m)
+    else:
+        div_m = max(10, n // 10)
+        div_tail_min = float(np.min(path.dividend[-div_m:]))
+        fundamental, qr_end = _window_sums(logq, path.dividend, T)
+        if limit_rate <= 1.0 and div_tail_min > 0.0:
+            # geometric continuation diverges: the path cannot be valued
+            tail_bound = np.full(m, math.inf)
+            infinite_pv = True
+        elif rate_spread >= _RATE_SPREAD_TOL or limit_rate <= 1.0:
+            # terminal rate not trustworthy; no continuation can be attached
+            tail_bound = np.full(m, math.inf)
+        else:
+            continuation = limit_rate / (limit_rate - 1.0)
+            tail_bound = qr_end * path.dividend[T:] * continuation
+            fundamental = fundamental + tail_bound
+    bubble = price - fundamental
 
-    div_m = max(10, n // 10)
-    div_tail_min = float(np.min(path.dividend[-div_m:]))
-
-    trunc_sum, qr_end = _window_sums(logq, path.dividend, T)
-
-    if limit_rate <= 1.0 and div_tail_min > 0.0:
-        # geometric continuation diverges: the path cannot be valued
-        inf_arr = np.full(m, math.inf)
-        return BubbleReport(
-            fundamental=trunc_sum,
-            bubble_component=path.price[:m] - trunc_sum,
-            tail_bound=inf_arr,
-            limit_rate=limit_rate,
-            rate_spread=rate_spread,
-            verdict=INCONCLUSIVE,
-            infinite_pv=True,
-            tvc_estimate=tvc,
-            truncation=T,
-        )
-
-    if rate_spread >= _RATE_SPREAD_TOL or limit_rate <= 1.0:
-        # terminal rate not trustworthy; no continuation can be attached
-        fundamental = trunc_sum
-        bubble = path.price[:m] - fundamental
-        return BubbleReport(
-            fundamental=fundamental,
-            bubble_component=bubble,
-            tail_bound=np.full(m, math.inf),
-            limit_rate=limit_rate,
-            rate_spread=rate_spread,
-            verdict=INCONCLUSIVE,
-            infinite_pv=False,
-            tvc_estimate=tvc,
-            truncation=T,
-        )
-
-    tail_est = qr_end * path.dividend[T:] * (limit_rate / (limit_rate - 1.0))
-    fundamental = trunc_sum + tail_est
-    bubble = path.price[:m] - fundamental
-    tail_bound = tail_est
-
-    slack = _BOUND_MULTIPLE * tail_bound + 1e-12 * path.price[:m]
+    # With an infinite bound no verdict is decisive, so it stays
+    # inconclusive; a pure bubble's zero bound makes it bubbly.
+    slack = _BOUND_MULTIPLE * tail_bound + 1e-12 * price
     if np.any(bubble < -slack):
         raise ValueError(
             "negative bubble component beyond the truncation error; "
@@ -262,7 +241,7 @@ def fundamental_value(path: EquilibriumPath, truncation: int) -> BubbleReport:
         verdict = BUBBLY
     elif (
         np.all(bubble <= slack)
-        and tail_bound[last] <= _NEGLIGIBLE_TAIL * path.price[last]
+        and tail_bound[last] <= _NEGLIGIBLE_TAIL * price[last]
     ):
         verdict = FUNDAMENTAL
     else:
@@ -274,14 +253,13 @@ def fundamental_value(path: EquilibriumPath, truncation: int) -> BubbleReport:
         limit_rate=limit_rate,
         rate_spread=rate_spread,
         verdict=verdict,
-        infinite_pv=False,
+        infinite_pv=infinite_pv,
         tvc_estimate=tvc,
         truncation=T,
     )
 
 
-@dataclass(frozen=True)
-class YieldDetection:
+class YieldDetection(NamedTuple):
     series: SeriesClass
     verdict: str
 
@@ -292,6 +270,7 @@ def detect_bubble(path: EquilibriumPath) -> YieldDetection:
     Divergent -> fundamental, otherwise inconclusive."""
     if np.any(path.price <= 0.0):
         raise ValueError("the yield test requires strictly positive prices")
+    _require_finite("price", path.price)
     terms = path.dividend[1:] / path.price[1:]
     series = classify_series(terms, horizon=max(100, terms.size))
     if series.kind is SeriesKind.CONVERGENT:

@@ -18,6 +18,7 @@ the finite-sample series classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def wilson_bubble_test(p: WilsonParams, horizon: int = 10_000) -> SeriesClass:
     return classify_series(terms, horizon=max(n, 100))
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(NamedTuple):
     """The three-rate comparison behind bubble existence with positive
     old-age endowments: autarky rate R = (1-beta)*b/(beta*a) against
     dividend growth and endowment growth. A bubble on a dividend-paying

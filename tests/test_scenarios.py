@@ -544,6 +544,17 @@ def test_cli_run_failure_exits_one(tmp_path, capsys):
     assert f"error: {ini} [pr]: " in capsys.readouterr().err
 
 
+
+def test_cli_run_exits_one_when_the_output_directory_cannot_be_made(
+    tmp_path, capsys
+):
+    ini = tmp_path / "s.ini"
+    ini.write_text(bb_text("bb", 0.4, "horizon = 10\n"))
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    assert main(["run", str(ini), "--out-dir", str(blocker)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
 def test_cli_names_the_underflow_of_a_deflating_samuelson_price(tmp_path, capsys):
     ini = tmp_path / "s.ini"
     ini.write_text(

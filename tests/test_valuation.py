@@ -13,6 +13,7 @@ from bubblelab import (
     SeriesKind,
     WeilParams,
     bewley_path,
+    construct_equilibrium,
     detect_bubble,
     discount_factors,
     fundamental_value,
@@ -370,3 +371,17 @@ def test_window_sums_match_50_digit_oracle(make_path):
         sums, _ = _window_sums(logq, path.dividend, T)
         exact = mp_window_sums(logq, path.dividend, T)
         assert np.max(np.abs(sums - exact) / exact) <= 1e-13, T
+
+
+def test_valuation_names_the_overflow_of_a_path():
+    # an unbalanced bubbly path outgrows the doubles at t = 1020; its
+    # yields D/inf = 0 would otherwise pass for a convergent series
+    p = BareBonesParams(pi=0.1, beta=0.95, delta=0.08, productivity=2.13, rent=1.0)
+    path = construct_equilibrium(p, 2.0, 1100).path
+    for check in (
+        lambda: fundamental_value(path, 500),
+        lambda: detect_bubble(path),
+        lambda: no_arbitrage_residuals(path),
+    ):
+        with pytest.raises(ValueError, match="price is inf at t = 1020"):
+            check()
