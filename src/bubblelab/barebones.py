@@ -171,26 +171,29 @@ class Regime(NamedTuple):
         return self.kind is RegimeKind.BUBBLY_UNBALANCED
 
 
+def _regime_kind(p: BareBonesParams) -> RegimeKind:
+    # the boundary is |rho - 1| within the unit tolerance, as in the
+    # recurrence classifier
+    rho = price_slope(p)
+    if p.productivity <= thresholds(p).low:
+        return RegimeKind.LAND_ONLY
+    if abs(rho - 1.0) <= UNIT_SLOPE_TOL:
+        return RegimeKind.BOUNDARY_NO_BUBBLE
+    if rho < 1.0:
+        return RegimeKind.FUNDAMENTAL_BALANCED
+    return RegimeKind.BUBBLY_UNBALANCED
+
+
 def classify_regime(p: BareBonesParams) -> Regime:
     """Which of the four long-run regimes the parameters produce. The
     boundary is detected on the price-map slope (|rho - 1| within the unit
     tolerance), keeping it consistent with the recurrence classifier."""
-    th = thresholds(p)
-    rho = price_slope(p)
-    if p.productivity <= th.low:
-        kind = RegimeKind.LAND_ONLY
-    elif abs(rho - 1.0) <= UNIT_SLOPE_TOL:
-        kind = RegimeKind.BOUNDARY_NO_BUBBLE
-    elif rho < 1.0:
-        kind = RegimeKind.FUNDAMENTAL_BALANCED
-    else:
-        kind = RegimeKind.BUBBLY_UNBALANCED
     necessity = NecessityTriple(
         counterfactual_rate=balanced_rate(p),
         rent_growth=1.0,
-        economy_growth=max(1.0, rho),
+        economy_growth=max(1.0, price_slope(p)),
     )
-    return Regime(kind=kind, necessity=necessity)
+    return Regime(kind=_regime_kind(p), necessity=necessity)
 
 
 class SteadyState(NamedTuple):
@@ -203,31 +206,42 @@ class SteadyState(NamedTuple):
     phi_indeterminate: bool = False
 
 
+def _land_only_rate(p: BareBonesParams) -> float:
+    return 1.0 / p.beta
+
+
+def _land_only_price(p: BareBonesParams) -> float:
+    return p.beta * p.rent / (1.0 - p.beta)
+
+
+def _balanced_price(p: BareBonesParams, rate: float) -> float:
+    # R P = P + D at the balanced rate
+    return p.rent / (rate - 1.0)
+
+
 def steady_state(p: BareBonesParams) -> SteadyState | None:
-    """The unique steady state, or None when productivity is at or above the
-    upper threshold. At exactly the lower threshold investors are
-    indifferent; the land-only split (phi = 0) is reported and flagged."""
-    th = thresholds(p)
-    a = p.productivity
-    if a <= th.low:
-        price = p.beta * p.rent / (1.0 - p.beta)
-        wealth = p.rent * p.land_supply / (1.0 - p.beta)
+    """The unique steady state, which exists only in the land-only and
+    fundamental balanced regimes of ``classify_regime``; None otherwise. At
+    exactly the lower threshold investors are indifferent; the land-only
+    split (phi = 0) is reported and flagged."""
+    kind = _regime_kind(p)
+    if kind is RegimeKind.LAND_ONLY:
         return SteadyState(
-            regime=RegimeKind.LAND_ONLY,
-            rate=1.0 / p.beta,
-            price=price,
-            wealth=wealth,
+            regime=kind,
+            rate=_land_only_rate(p),
+            price=_land_only_price(p),
+            wealth=p.rent * p.land_supply / (1.0 - p.beta),
             capital=0.0,
             phi=0.0,
-            phi_indeterminate=(a == th.low),
+            phi_indeterminate=(p.productivity == thresholds(p).low),
         )
-    if a >= th.high:
+    if kind is not RegimeKind.FUNDAMENTAL_BALANCED:
         return None
     rate = balanced_rate(p)
-    price = p.rent / (rate - 1.0)
+    price = _balanced_price(p, rate)
     wealth = price * p.land_supply / (p.beta * (1.0 - p.pi))
     return SteadyState(
-        regime=RegimeKind.FUNDAMENTAL_BALANCED,
+        regime=kind,
         rate=rate,
         price=price,
         wealth=wealth,
@@ -242,7 +256,7 @@ def longrun_rate(p: BareBonesParams) -> float:
     upper one. Continuous at both cutoffs."""
     th = thresholds(p)
     if p.productivity <= th.low:
-        return 1.0 / p.beta
+        return _land_only_rate(p)
     if p.productivity >= th.high:
         return price_slope(p)
     return balanced_rate(p)
@@ -348,7 +362,7 @@ def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
     """Constant path at the steady state (errors where none exists)."""
     ss = steady_state(p)
     if ss is None:
-        raise ValueError("no steady state at or above the upper threshold")
+        raise ValueError("no steady state: the price-map slope is at or above 1")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     n = horizon + 1
@@ -521,7 +535,8 @@ def simulate_regime_switch(
         if getattr(p_base, name) != getattr(p_shock, name):
             raise ValueError(f"base and shock must agree on {name}")
     th = thresholds(p_base)
-    if not (th.low < p_base.productivity < th.high):
+    ss = steady_state(p_base)
+    if ss is None or ss.regime is not RegimeKind.FUNDAMENTAL_BALANCED:
         raise ValueError(
             "base productivity must lie strictly between the thresholds "
             f"({th.low}, {th.high}); transition dynamics outside the "
@@ -532,7 +547,6 @@ def simulate_regime_switch(
     if not (0 <= t_on <= t_off <= horizon + 1):
         raise ValueError("need 0 <= t_on <= t_off <= horizon + 1")
 
-    ss = steady_state(p_base)
     n = horizon + 1
     in_window = np.zeros(n, dtype=bool)
     in_window[t_on:t_off] = True

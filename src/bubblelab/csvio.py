@@ -97,14 +97,28 @@ def _table_cell(v: object) -> str:
     return quote_field(_format_value(v))
 
 
-def emit_table_csv(header: list[str], columns: list[list[object]]) -> str:
-    """Serialize a table given as one list per header name (sweeps,
+def _table_column(col: list[object] | np.ndarray) -> list[str]:
+    """One table column's cells: an array formatted by its dtype, a list
+    cell by cell."""
+    if isinstance(col, np.ndarray):
+        kind = col.dtype.kind
+        if kind == "f":
+            return list(map(_format_g12, col.tolist()))
+        if kind == "b":
+            return np.where(col, "true", "false").tolist()
+        if kind == "U":
+            return list(map(quote_field, col.tolist()))
+        col = col.tolist()
+    if all(isinstance(v, float) for v in col):
+        return list(map(_format_g12, col))
+    return list(map(_table_cell, col))
+
+
+def emit_table_csv(
+    header: list[str], columns: list[list[object] | np.ndarray]
+) -> str:
+    """Serialize a table given as one column per header name (sweeps,
     summaries): floats at 12 significant digits, booleans as ``true`` and
-    ``false``, everything else via str."""
-    cells = [
-        list(map(_format_g12, col))
-        if all(isinstance(v, float) for v in col)
-        else list(map(_table_cell, col))
-        for col in columns
-    ]
-    return render_csv(header, cells)
+    ``false``, everything else via str. An array column is formatted by
+    its dtype as a whole."""
+    return render_csv(header, list(map(_table_column, columns)))

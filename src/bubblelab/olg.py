@@ -60,8 +60,13 @@ class SamuelsonEquilibria(NamedTuple):
         return (0.0, self.stationary_price)
 
 
+def _stationary_level(p: SamuelsonParams) -> float:
+    # the young's saving at a unit price less the old's endowment value
+    return p.beta * p.young_endow - (1.0 - p.beta) * p.old_endow
+
+
 def samuelson_equilibria(p: SamuelsonParams) -> SamuelsonEquilibria:
-    level = p.beta * p.young_endow - (1.0 - p.beta) * p.old_endow
+    level = _stationary_level(p)
     if level > 0.0:
         return SamuelsonEquilibria(stationary_price=level)
     return SamuelsonEquilibria(stationary_price=None)

@@ -34,12 +34,15 @@ import re
 from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
+from .barebones import RegimeKind
 from .paths import EquilibriumPath
+from .recur import UNIT_SLOPE_TOL
 from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
 
 
@@ -193,6 +196,9 @@ def _names(raw: str, where: str) -> tuple[str, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ScenarioError(f"{where}: expected a comma-separated name list")
+    for i, name in enumerate(parts):
+        if name in parts[:i]:
+            raise ScenarioError(f"{where}: {name!r} is listed twice")
     return tuple(parts)
 
 
@@ -234,9 +240,11 @@ class ModelSpec(NamedTuple):
     """One model as the scenario runner sees it.
 
     ``params`` turns resolved options into the model's parameter object,
-    which ``run`` and ``stats`` receive. ``stats`` computes the statistics
-    named in ``stat_names``, for sweep points and run summaries alike; a
-    model without it cannot be swept. ``columns`` are the default path
+    which ``run`` receives. ``grid`` computes the statistics named in
+    ``stat_names`` as whole columns: it takes resolved options in which the
+    swept parameter is a float64 array and returns one array per
+    statistic. Run summaries read row 0 of a one-point grid. A model
+    without ``grid`` cannot be swept. ``columns`` are the default path
     columns and ``path_columns`` every column its path can write; both are
     empty for a model that writes no path.
     """
@@ -245,9 +253,15 @@ class ModelSpec(NamedTuple):
     params: Callable[[dict], object]
     run: Callable[[object, dict, int, int | None], _ModelOutput]
     stat_names: tuple[str, ...] = ()
-    stats: Callable[[object], dict[str, object]] | None = None
+    grid: Callable[[dict], dict[str, np.ndarray]] | None = None
     columns: tuple[str, ...] = ()
     path_columns: tuple[str, ...] = ()
+
+    @property
+    def stats(self) -> Callable[[dict], dict[str, np.ndarray]] | None:
+        """``grid`` under its former name: None when the model cannot be
+        swept."""
+        return self.grid
 
 
 class Scenario(NamedTuple):
@@ -355,8 +369,8 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
 
 
 def _typed_sweep(raw, source, model, spec, pairs, where) -> Scenario:
-    if spec.stats is None:
-        sweepable = sorted(m for m, s in MODELS.items() if s.stats is not None)
+    if spec.grid is None:
+        sweepable = sorted(m for m, s in MODELS.items() if s.grid is not None)
         raise ScenarioError(
             f"{where('sweep')}: model {model!r} does not support sweeps; "
             f"sweepable: {', '.join(sweepable)}"
@@ -451,7 +465,124 @@ def serialize_scenario(sc: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-model parameters, statistics and runners
+# statistics as whole columns
+#
+# A grid function applies the models' own formula helpers to arrays and
+# writes only the branch selection with masks; each branch's formula is
+# computed on its own rows alone.
+
+
+def _param_arrays(o: dict, keys: tuple[str, ...], **defaults: float) -> SimpleNamespace:
+    """The options under keys as equal-length float64 arrays, a scalar
+    option repeated, for the formula helpers to read as parameters."""
+    values = itemgetter(*keys)({**defaults, **o})
+    arrays = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in values))
+    return SimpleNamespace(**dict(zip(keys, arrays)))
+
+
+def _rows(p: SimpleNamespace, mask: np.ndarray) -> SimpleNamespace:
+    return SimpleNamespace(**{k: v[mask] for k, v in vars(p).items()})
+
+
+def _piecewise(p: SimpleNamespace, *cases) -> np.ndarray:
+    """A column built from disjoint (mask, formula) cases, each formula
+    applied to the rows of p under its mask only; NaN in the other rows."""
+    out = np.full(next(iter(vars(p).values())).size, math.nan)
+    for mask, formula in cases:
+        out[mask] = formula(_rows(p, mask))
+    return out
+
+
+def _evaluate(grid: Callable[[dict], dict[str, np.ndarray]], o: dict) -> dict:
+    """A grid call that raises where a formula divides by zero, overflows
+    or yields an invalid value. Underflow is not an error: scalar float
+    arithmetic rounds it to zero silently too."""
+    with np.errstate(all="raise", under="ignore"):
+        return grid(o)
+
+
+def _grid_row(grid: Callable[[dict], dict[str, np.ndarray]], o: dict) -> dict:
+    """A run's statistics: row 0 of a one-point grid, as Python values."""
+    return {name: col.tolist()[0] for name, col in _evaluate(grid, o).items()}
+
+
+def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
+    p = _param_arrays(o, tuple(_LAND), land_supply=1.0)
+    a, rho = p.productivity, barebones.price_slope(p)
+    low, high = barebones.threshold_values(p.pi, p.beta, p.delta)
+    # the regime, as in classify_regime
+    land = a <= low
+    boundary = ~land & (np.abs(rho - 1.0) <= UNIT_SLOPE_TOL)
+    balanced = ~land & ~boundary & (rho < 1.0)
+    bubbly = ~(land | boundary | balanced)
+    regime = np.select(
+        [land, boundary, balanced],
+        [
+            RegimeKind.LAND_ONLY.value,
+            RegimeKind.BOUNDARY_NO_BUBBLE.value,
+            RegimeKind.FUNDAMENTAL_BALANCED.value,
+        ],
+        RegimeKind.BUBBLY_UNBALANCED.value,
+    )
+    above = ~land & (a >= high)
+    return {
+        "longrun_rate": _piecewise(
+            p,
+            (land, barebones._land_only_rate),
+            (above, barebones.price_slope),
+            (~(land | above), barebones.balanced_rate),
+        ),
+        "regime": regime,
+        "has_bubble": bubbly,
+        "steady_price": _piecewise(
+            p,
+            (land, barebones._land_only_price),
+            (balanced, lambda q: barebones._balanced_price(q, barebones.balanced_rate(q))),
+        ),
+        "steady_rate": _piecewise(
+            p,
+            (land, barebones._land_only_rate),
+            (balanced, barebones.balanced_rate),
+        ),
+        "price_slope": rho,
+        "min_wealth": barebones.min_wealth(p),
+        "threshold_low": low,
+        "threshold_high": high,
+    }
+
+
+def _tirole_grid(o: dict) -> dict[str, np.ndarray]:
+    p = _param_arrays(o, (*_TIROLE, "entrepreneur_prob"), entrepreneur_prob=1.0)
+    k_f = tirole._fundamental_capital(p, p.entrepreneur_prob)
+    bubbly = tirole._bubble_margin(p) > 1.0
+    q = _rows(p, bubbly)
+    k_b, price = np.full((2, k_f.size), math.nan)
+    k_b[bubbly] = tirole._bubbly_capital(q)
+    price[bubbly] = tirole._bubble_price(q, k_b[bubbly])
+    crowding = np.full(k_f.size, "none")
+    crowding[bubbly] = np.where(k_b[bubbly] > k_f[bubbly], "in", "out")
+    return {
+        "k_fundamental": k_f,
+        "r_fundamental": tirole._fundamental_rate(p, p.entrepreneur_prob),
+        "k_bubbly": k_b,
+        "bubble_price": price,
+        "crowding": crowding,
+    }
+
+
+def _samuelson_grid(o: dict) -> dict[str, np.ndarray]:
+    p = _param_arrays(o, tuple(_OLG))
+    level = olg._stationary_level(p)
+    bubbly = level > 0.0
+    return {
+        "stationary_price": np.where(bubbly, level, math.nan),
+        "autarky_rate": olg.autarky_rate(p),
+        "has_bubbly": bubbly,
+    }
+
+
+# ---------------------------------------------------------------------------
+# per-model parameters and runners
 
 
 class _ModelOutput(NamedTuple):
@@ -460,18 +591,8 @@ class _ModelOutput(NamedTuple):
     report: valuation.BubbleReport | None = None
 
 
-def _samuelson_stats(p: olg.SamuelsonParams) -> dict[str, object]:
-    eq = olg.samuelson_equilibria(p)
-    price = eq.stationary_price if eq.stationary_price is not None else math.nan
-    return {
-        "stationary_price": price,
-        "autarky_rate": olg.autarky_rate(p),
-        "has_bubbly": eq.has_bubbly,
-    }
-
-
 def _run_samuelson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    summary = _samuelson_stats(p)
+    summary = _grid_row(_samuelson_grid, o)
     p0 = o.get("p0")
     if p0 is None:
         if not summary["has_bubbly"]:
@@ -519,20 +640,8 @@ def _run_bewley(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     return _ModelOutput(summary, path)
 
 
-def _tirole_stats(p: tirole.TiroleParams) -> dict[str, object]:
-    ss = tirole.tirole_crowdin_steady(p)
-    b = ss.bubbly
-    return {
-        "k_fundamental": ss.k_fundamental,
-        "r_fundamental": ss.r_fundamental,
-        "k_bubbly": b.capital if b else math.nan,
-        "bubble_price": b.price if b else math.nan,
-        "crowding": ss.crowding if ss.crowding is not None else "none",
-    }
-
-
 def _run_tirole(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    stats = _tirole_stats(p)
+    stats = _grid_row(_tirole_grid, o)
     bubbly = stats["crowding"] != "none"
     summary = {key: stats[key] for key in ("k_fundamental", "r_fundamental")}
     if bubbly:
@@ -574,26 +683,9 @@ def _land_params(
     )
 
 
-def _barebones_stats(p: barebones.BareBonesParams) -> dict[str, object]:
-    th = barebones.thresholds(p)
-    ss = barebones.steady_state(p)
-    regime = barebones.classify_regime(p)
-    return {
-        "longrun_rate": barebones.longrun_rate(p),
-        "regime": regime.kind.value,
-        "has_bubble": regime.has_bubble,
-        "steady_price": ss.price if ss is not None else math.nan,
-        "steady_rate": ss.rate if ss is not None else math.nan,
-        "price_slope": barebones.price_slope(p),
-        "min_wealth": barebones.min_wealth(p),
-        "threshold_low": th.low,
-        "threshold_high": th.high,
-    }
-
-
-def _land_summary(p: barebones.BareBonesParams) -> dict[str, object]:
+def _land_summary(p: barebones.BareBonesParams, o: dict) -> dict[str, object]:
     """Regime, thresholds and rates, then the steady state if one exists."""
-    stats = _barebones_stats(p)
+    stats = _grid_row(_barebones_grid, o)
     summary = {
         key: stats[key]
         for key in (
@@ -611,7 +703,7 @@ def _land_summary(p: barebones.BareBonesParams) -> dict[str, object]:
 
 
 def _run_barebones(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    summary = _land_summary(p)
+    summary = _land_summary(p, o)
     p0, w0 = o.get("p0"), o.get("w0")
     if p0 is not None and w0 is not None:
         raise RunError("give p0 or w0, not both")
@@ -625,7 +717,7 @@ def _run_barebones(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
         )
     elif "steady_price" not in summary:
         raise RunError(
-            "no steady state at or above the upper threshold; give p0 or w0"
+            "no steady state: the price-map slope is at or above 1; give p0 or w0"
         )
     else:
         path = barebones.steady_path(p, horizon)
@@ -645,7 +737,7 @@ def _run_barebones_construct(
     p, o: dict, horizon: int, seed: int | None
 ) -> _ModelOutput:
     built = barebones.construct_equilibrium(p, o["k0"], horizon)
-    summary = _land_summary(p)
+    summary = _land_summary(p, o)
     summary["prephase_length"] = built.prephase_length
     summary["w_switch"] = built.w_switch
     summary["w_bound"] = built.path.meta["w_bound"]
@@ -725,7 +817,7 @@ def _tirole_spec(*keys: str) -> ModelSpec:
             "k_fundamental", "r_fundamental", "k_bubbly", "bubble_price",
             "crowding",
         ),
-        stats=_tirole_stats,
+        grid=_tirole_grid,
     )
 
 
@@ -735,7 +827,7 @@ MODELS: dict[str, ModelSpec] = {
         params=_positional(olg.SamuelsonParams, *_OLG),
         run=_run_samuelson,
         stat_names=("stationary_price", "autarky_rate", "has_bubbly"),
-        stats=_samuelson_stats,
+        grid=_samuelson_grid,
         columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
     ),
     "weil": ModelSpec(
@@ -787,7 +879,7 @@ MODELS: dict[str, ModelSpec] = {
             "steady_rate", "price_slope", "min_wealth", "threshold_low",
             "threshold_high",
         ),
-        stats=_barebones_stats,
+        grid=_barebones_grid,
         columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS + _VALUATION_COLUMNS,
     ),
     "barebones_construct": ModelSpec(
@@ -833,27 +925,36 @@ MODELS: dict[str, ModelSpec] = {
 # running
 
 
+def _sweep_point(sc: Scenario, spec: ModelSpec, v: float) -> None:
+    """Check one grid point as a one-point grid; a RunError names it."""
+    try:
+        spec.params({**sc.options, sc.sweep: v})
+        _evaluate(spec.grid, {**sc.options, sc.sweep: np.array([v])})
+    except (ValueError, ArithmeticError) as e:
+        raise RunError(f"sweep [{sc.name}] at {sc.sweep} = {v!r}: {e}") from e
+
+
 def run_sweep_values(
     sc: Scenario,
-) -> tuple[list[float], dict[str, list[object]]]:
-    """Evaluate a sweep in memory: the swept grid plus one list per stat."""
+) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Evaluate a sweep in memory, as whole columns in one grid call: the
+    swept grid plus one array per stat. A failure names the first grid
+    point that fails on its own."""
     if not sc.is_sweep:
         raise ValueError(f"scenario {sc.name!r} is not a sweep")
     spec = MODELS[sc.model]
-    params, stats = spec.params, spec.stats
-    out: dict[str, list[object]] = {name: [] for name in sc.stats}
-    for v in sc.sweep_values:
-        opts = dict(sc.options)
-        opts[sc.sweep] = v
-        try:
-            row = stats(params(opts))
-        except (ValueError, ArithmeticError) as e:
-            raise RunError(
-                f"sweep [{sc.name}] at {sc.sweep} = {v!r}: {e}"
-            ) from e
-        for name in sc.stats:
-            out[name].append(row[name])
-    return list(sc.sweep_values), out
+    grid = np.array(sc.sweep_values)
+    try:
+        # every parameter constraint is an interval and the grid is finite,
+        # so its two ends stand for every point
+        for v in (grid.min(), grid.max()):
+            spec.params({**sc.options, sc.sweep: float(v)})
+        columns = _evaluate(spec.grid, {**sc.options, sc.sweep: grid})
+    except (ValueError, ArithmeticError) as e:
+        for v in sc.sweep_values:
+            _sweep_point(sc, spec, v)
+        raise RunError(f"sweep [{sc.name}]: {e}") from e
+    return list(sc.sweep_values), {name: columns[name] for name in sc.stats}
 
 
 class RunResult(NamedTuple):
@@ -963,6 +1064,6 @@ def list_models() -> str:
         keys = [k if opt.required else f"[{k}]" for k, opt in spec.schema.items()]
         tail = "" if spec.columns else "  (no path output)"
         lines.append(f"{model}: {', '.join(keys)}{tail}")
-        if spec.stats is not None:
+        if spec.grid is not None:
             lines.append(f"  sweep stats: {', '.join(spec.stat_names)}")
     return "\n".join(lines) + "\n"

@@ -23,9 +23,10 @@ found by bisection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,34 @@ def capital_rate(p: TiroleParams, k: float) -> float:
     return p.tfp * p.alpha * k ** (p.alpha - 1.0) + 1.0 - p.delta
 
 
-def _bubbly_steady(p: TiroleParams) -> BubblySteady | None:
+def _pow(x, y):
+    """x ** y, elementwise through Python's float pow when either is an
+    array: np.power can differ from it in the last bit."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        x, y = np.broadcast_arrays(x, y)
+        return np.array(list(map(pow, x.tolist(), y.tolist())), dtype=float)
+    return x**y
+
+
+def _bubble_margin(p: TiroleParams) -> float:
     # R(K_b) = 1 pins K_b; P > 0 iff beta*delta*(1-alpha)/alpha > 1
-    margin = p.beta * p.delta * (1.0 - p.alpha) / p.alpha
-    if margin <= 1.0:
+    return p.beta * p.delta * (1.0 - p.alpha) / p.alpha
+
+
+def _bubbly_capital(p: TiroleParams) -> float:
+    return _pow(p.tfp * p.alpha / p.delta, 1.0 / (1.0 - p.alpha))
+
+
+def _bubble_price(p: TiroleParams, k_b: float) -> float:
+    # the saving left over at K_b
+    return k_b * (_bubble_margin(p) - 1.0)
+
+
+def _bubbly_steady(p: TiroleParams) -> BubblySteady | None:
+    if _bubble_margin(p) <= 1.0:
         return None
-    k_b = (p.tfp * p.alpha / p.delta) ** (1.0 / (1.0 - p.alpha))
-    price = k_b * (margin - 1.0)
-    return BubblySteady(capital=k_b, price=price)
+    k_b = _bubbly_capital(p)
+    return BubblySteady(capital=k_b, price=_bubble_price(p, k_b))
 
 
 def tirole_steady(p: TiroleParams) -> TiroleSteadyStates:
@@ -91,9 +112,15 @@ def tirole_steady(p: TiroleParams) -> TiroleSteadyStates:
 
 def _fundamental_capital(p: TiroleParams, pi: float) -> float:
     # only the entrepreneurs' savings become capital
-    return (p.beta * p.tfp * (1.0 - p.alpha) * pi**p.alpha) ** (
-        1.0 / (1.0 - p.alpha)
+    return _pow(
+        p.beta * p.tfp * (1.0 - p.alpha) * _pow(pi, p.alpha),
+        1.0 / (1.0 - p.alpha),
     )
+
+
+def _fundamental_rate(p: TiroleParams, pi: float) -> float:
+    # marginal product of productive capital
+    return p.alpha / (p.beta * pi * (1.0 - p.alpha)) + 1.0 - p.delta
 
 
 def tirole_crowdin_steady(p: TiroleParams) -> TiroleSteadyStates:
@@ -102,7 +129,7 @@ def tirole_crowdin_steady(p: TiroleParams) -> TiroleSteadyStates:
     alpha/(beta*pi*(1-alpha)) + 1 - delta."""
     pi = p.entrepreneur_prob
     k_f = _fundamental_capital(p, pi)
-    r_f = p.alpha / (p.beta * pi * (1.0 - p.alpha)) + 1.0 - p.delta
+    r_f = _fundamental_rate(p, pi)
     bub = _bubbly_steady(p)
     crowding = None
     if bub is not None:

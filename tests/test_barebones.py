@@ -566,3 +566,21 @@ def test_params_validation():
             pi=0.1, beta=0.95, delta=0.08, productivity=0.4, rent=1.0,
             land_supply=0.0,
         )
+
+
+@pytest.mark.parametrize(
+    ("pi", "beta", "delta", "a"),
+    [(0.1, 0.95, 0.08, 0.6063157894736845), (0.2, 0.8, 0.05, 1.2999999999999992)],
+)
+def test_no_steady_state_one_ulp_below_the_upper_threshold(pi, beta, delta, a):
+    # below threshold_high, yet the balanced rate rounds to 1: the steady
+    # state follows the regime classifier, not the threshold
+    p = BareBonesParams(pi=pi, beta=beta, delta=delta, productivity=a, rent=1.0)
+    assert a < thresholds(p).high and balanced_rate(p) == 1.0
+    assert classify_regime(p).kind is RegimeKind.BOUNDARY_NO_BUBBLE
+    assert steady_state(p) is None
+    with pytest.raises(ValueError, match="no steady state"):
+        steady_path(p, horizon=10)
+    base = BareBonesParams(pi=pi, beta=beta, delta=delta, productivity=a / 2, rent=1.0)
+    with pytest.raises(ValueError, match="strictly between the thresholds"):
+        simulate_regime_switch(p, base, 1, 2, 10)

@@ -567,3 +567,40 @@ def test_cli_names_the_underflow_of_a_deflating_samuelson_price(tmp_path, capsys
         "equilibrium price is positive but below the smallest double\n"
     )
     assert not (tmp_path / "o" / "s.csv").exists()
+
+
+def test_names_listed_twice_are_rejected():
+    sweep = (
+        "[g]\nmodel = barebones\nsweep = productivity\nvalues = [0.1]\n"
+        "stats = regime, regime\npi = 0.1\nbeta = 0.95\ndelta = 0.08\nrent = 1.0\n"
+    )
+    assert "[g] stats: 'regime' is listed twice" in err(sweep)
+    run = bb_text("r", 0.4, "columns = t, P, P\n")
+    assert "[r] columns: 'P' is listed twice" in err(run)
+
+
+def test_cli_run_reports_arithmetic_errors(tmp_path, capsys, monkeypatch):
+    from bubblelab import cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "run_scenario", overflow)
+    ini = tmp_path / "s.ini"
+    ini.write_text(bb_text("bb", 0.4))
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [bb]: (34, 'Numerical result out of range')\n"
+    )
+
+
+def test_cli_run_one_ulp_below_the_upper_threshold(tmp_path, capsys):
+    # no steady state there (the balanced rate rounds to 1): a message,
+    # not a division by zero
+    ini = tmp_path / "s.ini"
+    ini.write_text(bb_text("edge", 0.6063157894736845))
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [edge]: no steady state: the price-map slope is at "
+        "or above 1; give p0 or w0\n"
+    )
