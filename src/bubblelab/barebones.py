@@ -172,8 +172,6 @@ class Regime(NamedTuple):
 
 
 def _regime_kind(p: BareBonesParams) -> RegimeKind:
-    # the boundary is |rho - 1| within the unit tolerance, as in the
-    # recurrence classifier
     rho = price_slope(p)
     if p.productivity <= thresholds(p).low:
         return RegimeKind.LAND_ONLY

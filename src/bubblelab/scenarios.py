@@ -537,7 +537,10 @@ def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
         "steady_price": _piecewise(
             p,
             (land, barebones._land_only_price),
-            (balanced, lambda q: barebones._balanced_price(q, barebones.balanced_rate(q))),
+            (
+                balanced,
+                lambda q: barebones._balanced_price(q, barebones.balanced_rate(q)),
+            ),
         ),
         "steady_rate": _piecewise(
             p,

@@ -138,7 +138,8 @@ def sweeps(draw, model: str, key: str):
         low, high = threshold_values(o["pi"], o["beta"], o["delta"])
         u = st.floats(0.0, 2.0).map(lambda x: x * high)
         edges = [low, high, math.nextafter(high, 0.0), math.nextafter(high, 3.0)]
-        points = draw(st.lists(st.one_of(u, st.sampled_from(edges)), min_size=1, max_size=25))
+        point = st.one_of(u, st.sampled_from(edges))
+        points = draw(st.lists(point, min_size=1, max_size=25))
     else:
         if model == "barebones":
             low, high = threshold_values(o["pi"], o["beta"], o["delta"])
@@ -195,13 +196,15 @@ def test_tirole_grid_matches_python_pow():
 def grid_scenario(values: tuple[float, ...], stats: str = "regime") -> Scenario:
     return Scenario(
         name="grid", model="barebones",
-        options={"pi": 0.1, "beta": 0.95, "delta": 0.08, "rent": 1.0, "land_supply": 1.0},
-        sweep="productivity", sweep_values=values, stats=tuple(stats.split(", ")),
+        options=dict(pi=0.1, beta=0.95, delta=0.08, rent=1.0, land_supply=1.0),
+        sweep="productivity",
+        sweep_values=values,
+        stats=tuple(stats.split(", ")),
     )
 
 
 def test_a_failing_grid_names_its_first_bad_point():
-    with pytest.raises(RunError, match=r"\[grid\] at productivity = -0\.1: productivity"):
+    with pytest.raises(RunError, match=r"\[grid\] at productivity = -0\.1: product"):
         run_sweep_values(grid_scenario((0.5, -0.1, 0.7)))
     # an arithmetic failure inside the grid call: no capital return at
     # A = 0 with full depreciation, so min_wealth divides by zero
@@ -215,7 +218,9 @@ def test_a_failing_grid_names_its_first_bad_point():
 def test_a_grid_one_ulp_below_the_upper_threshold_has_no_steady_state_there():
     edge = 0.6063157894736845   # below threshold_high, yet balanced_rate is 1
     values, cols = run_sweep_values(
-        grid_scenario((0.6, edge, 0.61), "regime, steady_price, steady_rate, longrun_rate")
+        grid_scenario(
+            (0.6, edge, 0.61), "regime, steady_price, steady_rate, longrun_rate"
+        )
     )
     assert cols["regime"].tolist() == [
         "fundamental_balanced", "boundary_no_bubble", "bubbly_unbalanced",
