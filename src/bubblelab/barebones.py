@@ -271,15 +271,6 @@ def min_wealth(p: BareBonesParams) -> float:
     )
 
 
-def _snapped_slope(p: BareBonesParams) -> float:
-    rho = price_slope(p)
-    return 1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else rho
-
-
-def _wealth_drift(p: BareBonesParams) -> float:
-    return p.rent * p.land_supply / _savings_split(p)
-
-
 def _arbitrage_violations(
     price: np.ndarray, rate: np.ndarray, capital_ret: np.ndarray
 ) -> list[int]:
@@ -290,22 +281,51 @@ def _arbitrage_violations(
     return np.flatnonzero(beats & np.isfinite(price[1:])).tolist()
 
 
-def _full_investment_path(
-    p: BareBonesParams, w0: float, horizon: int, meta: dict
+def _wealth_path(p: BareBonesParams, a, d, w0: float, horizon: int) -> np.ndarray:
+    """Full-investment wealth W_0..W_horizon from W_0 = w0:
+
+        (1 - beta + beta pi) W_t = beta pi (A_t + 1 - delta) W_{t-1} + D_t X
+
+    ``a`` and ``d`` are scalars or the per-period A_t, D_t for t = 0..horizon
+    (entry 0 is unused). A slope within the unit tolerance of 1 steps as
+    exactly 1, as ``classify_regime`` reads it."""
+    split = _savings_split(p)
+    slope = p.beta * p.pi * (a + 1.0 - p.delta) / split
+    slope = np.where(np.abs(slope - 1.0) <= UNIT_SLOPE_TOL, 1.0, slope)
+    drift = d * p.land_supply / split
+    steps = (np.broadcast_to(x, (horizon + 1,))[1:] for x in (slope, drift))
+    return affine_path(*steps, w0, horizon)
+
+
+def _land_path(
+    p: BareBonesParams,
+    wealth: np.ndarray,
+    dividend: np.ndarray,
+    phi: np.ndarray,
+    meta: dict,
 ) -> EquilibriumPath:
-    w = affine_path(_snapped_slope(p), _wealth_drift(p), w0, horizon)
-    price = p.beta * (1.0 - p.pi) * w / p.land_supply
-    dividend = np.full(horizon + 1, p.rent)
-    path = EquilibriumPath(
+    """The path from wealth and investment shares phi_t: land takes
+    P_t X = beta (1 - phi_t) W_t and capital K_{t+1} = beta phi_t W_t."""
+    price = p.beta * (1.0 - phi) * wealth / p.land_supply
+    return EquilibriumPath(
         price=price,
         dividend=dividend,
         rate=gross_rates(price, dividend),
-        wealth=w,
-        capital=p.beta * p.pi * w,
-        phi=np.full(horizon + 1, p.pi),
+        wealth=wealth,
+        capital=p.beta * phi * wealth,
+        phi=phi,
         meta=meta,
     )
-    return path
+
+
+def _full_investment(
+    p: BareBonesParams, a: np.ndarray, d: np.ndarray, w0: float, meta: dict
+) -> tuple[EquilibriumPath, list[int]]:
+    """Full-investment path under per-period A_t and D_t (arrays of equal
+    length), with the periods whose land return beats capital's."""
+    n = a.size
+    path = _land_path(p, _wealth_path(p, a, d, w0, n - 1), d, np.full(n, p.pi), meta)
+    return path, _arbitrage_violations(path.price, path.rate, a + 1.0 - p.delta)
 
 
 def simulate_forward(
@@ -334,13 +354,14 @@ def simulate_forward(
             f"initial wealth {w0} is below the feasibility bound {bound}; "
             "land would outperform capital in early periods"
         )
-    meta = {
-        "model": "barebones",
-        "w_bound": bound,
-        "feasible": feasible,
-        "regime": classify_regime(p).kind.value,
-    }
-    return _full_investment_path(p, w0, horizon, meta)
+    n = horizon + 1
+    return _land_path(
+        p,
+        _wealth_path(p, p.productivity, p.rent, w0, horizon),
+        np.full(n, p.rent),
+        np.full(n, p.pi),
+        {"model": "barebones", "w_bound": bound, "feasible": feasible},
+    )
 
 
 def simulate_from_price(
@@ -373,7 +394,7 @@ def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
         wealth=np.full(n, ss.wealth),
         capital=np.full(n, ss.capital),
         phi=np.full(n, ss.phi),
-        meta={"model": "barebones", "regime": ss.regime.value, "steady": True},
+        meta={"model": "barebones", "steady": True},
     )
 
 
@@ -473,7 +494,7 @@ def construct_equilibrium(
     phi = np.full(n, p.pi)
     if j <= horizon:
         wealth = np.empty(n)
-        wealth[j:] = affine_path(_snapped_slope(p), _wealth_drift(p), w0, horizon - j)
+        wealth[j:] = _wealth_path(p, p.productivity, p.rent, w0, horizon - j)
         for s in range(j - 1, -1, -1):
             wealth[s] = wealth[s + 1] / brk
         phi[:j] = shares
@@ -481,32 +502,19 @@ def construct_equilibrium(
         wealth = affine_path(brk, 0.0, w0 * math.exp(-j * math.log(brk)), horizon)
         phi[:] = shares[:n]
 
-    price = p.beta * (1.0 - phi) * wealth / p.land_supply
-    dividend = np.full(n, p.rent)
-    capital = p.beta * phi * wealth
-    rate = gross_rates(price, dividend)
+    path = _land_path(
+        p,
+        wealth,
+        np.full(n, p.rent),
+        phi,
+        {"model": "barebones", "prephase_length": j, "w_switch": w0, "w_bound": bound},
+    )
     pre_end = min(j, n - 1)
     resid = 0.0
     if pre_end > 0:
-        resid = float(np.max(np.abs(rate[:pre_end] - rk)))
-        rate[:pre_end] = rk   # interior shares equalize the returns exactly
-    path = EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        rate=rate,
-        wealth=wealth,
-        capital=capital,
-        phi=phi,
-        meta={
-            "model": "barebones",
-            "prephase_length": j,
-            "w_switch": w0,
-            "w_bound": bound,
-            "k0": k0,
-            "prephase_rate_residual": resid,
-            "regime": classify_regime(p).kind.value,
-        },
-    )
+        resid = float(np.max(np.abs(path.rate[:pre_end] - rk)))
+        path.rate[:pre_end] = rk   # interior shares equalize the returns exactly
+    path.meta["prephase_rate_residual"] = resid
     return ConstructedEquilibrium(prephase_length=j, w_switch=w0, path=path)
 
 
@@ -545,33 +553,18 @@ def simulate_regime_switch(
     if not (0 <= t_on <= t_off <= horizon + 1):
         raise ValueError("need 0 <= t_on <= t_off <= horizon + 1")
 
-    n = horizon + 1
-    in_window = np.zeros(n, dtype=bool)
+    in_window = np.zeros(horizon + 1, dtype=bool)
     in_window[t_on:t_off] = True
-
-    dividend = np.where(in_window, p_shock.rent, p_base.rent)
-    slope = np.where(in_window, _snapped_slope(p_shock), _snapped_slope(p_base))
-    drift = np.where(in_window, _wealth_drift(p_shock), _wealth_drift(p_base))
-    wealth = affine_path(slope[1:], drift[1:], ss.wealth, horizon)
-    price = p_base.beta * (1.0 - p_base.pi) * wealth / p_base.land_supply
-    rate = gross_rates(price, dividend)
-    cap = np.where(in_window, capital_return(p_shock), capital_return(p_base))
-    violations = _arbitrage_violations(price, rate, cap)
-
-    return EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        rate=rate,
-        wealth=wealth,
-        capital=p_base.beta * p_base.pi * wealth,
-        phi=np.full(n, p_base.pi),
-        meta={
-            "model": "barebones_switch",
-            "window": (t_on, t_off),
-            "arbitrage_violations": violations,
-            "base_steady_price": ss.price,
-        },
+    path, violations = _full_investment(
+        p_base,
+        np.where(in_window, p_shock.productivity, p_base.productivity),
+        np.where(in_window, p_shock.rent, p_base.rent),
+        ss.wealth,
+        {"model": "barebones_switch", "window": (t_on, t_off)},
     )
+    path.meta["arbitrage_violations"] = violations
+    path.meta["base_steady_price"] = ss.price
+    return path
 
 
 class TimeVaryingResult(NamedTuple):
@@ -595,8 +588,10 @@ def simulate_timevarying(
     Wealth obeys (1-beta+beta pi) W_t = beta pi (A_t+1-delta) W_{t-1} + D_t X.
     The full-investment condition is checked as R_t <= A_{t+1} + 1 - delta
     (capital bought at t pays at t+1); violations raise unless
-    ``require_feasible`` is off, in which case they are reported. With
-    constant sequences this reduces exactly to ``simulate_forward``.
+    ``require_feasible`` is off, in which case they are reported. A wealth
+    slope within the unit tolerance of 1 steps as exactly 1, as in
+    ``simulate_forward``, so with constant sequences the path equals
+    ``simulate_forward``'s bit for bit.
 
     The bubble verdict compares the price-rent map slope
     beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t) with 1 over the final
@@ -616,13 +611,7 @@ def simulate_timevarying(
     if np.any(d <= 0.0):
         raise ValueError("rent sequence must be positive")
 
-    split = _savings_split(p)
-    slope = p.beta * p.pi * (a[1:] + 1.0 - p.delta) / split
-    wealth = affine_path(slope, d[1:] * p.land_supply / split, w0, horizon)
-    price = p.beta * (1.0 - p.pi) * wealth / p.land_supply
-    rate = gross_rates(price, d)
-
-    violations = tuple(_arbitrage_violations(price, rate, a + 1.0 - p.delta))
+    path, violations = _full_investment(p, a, d, w0, {"model": "barebones_timevarying"})
     if require_feasible and violations:
         raise FeasibilityError(
             f"land return exceeds the capital return at t = {violations[0]}; "
@@ -630,25 +619,15 @@ def simulate_timevarying(
         )
 
     growth = d[1:] / d[:-1]
+    split = _savings_split(p)
     slope_ratio = p.beta * p.pi * (a[1:] + 1.0 - p.delta) / (split * growth)
     m = max(10, slope_ratio.size // 10)
-    bubble = bool(np.min(slope_ratio[-m:]) > 1.0)
-
-    path = EquilibriumPath(
-        price=price,
-        dividend=d,
-        rate=rate,
-        wealth=wealth,
-        capital=p.beta * p.pi * wealth,
-        phi=np.full(n, p.pi),
-        meta={"model": "barebones_timevarying", "bubble": bubble},
-    )
     return TimeVaryingResult(
         path=path,
         price_rent=path.price_rent(),
         slope_ratio=slope_ratio,
-        bubble=bubble,
-        violations=violations,
+        bubble=bool(np.min(slope_ratio[-m:]) > 1.0),
+        violations=tuple(violations),
     )
 
 

@@ -257,12 +257,6 @@ class ModelSpec(NamedTuple):
     columns: tuple[str, ...] = ()
     path_columns: tuple[str, ...] = ()
 
-    @property
-    def stats(self) -> Callable[[dict], dict[str, np.ndarray]] | None:
-        """``grid`` under its former name: None when the model cannot be
-        swept."""
-        return self.grid
-
 
 class Scenario(NamedTuple):
     name: str

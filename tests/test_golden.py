@@ -54,7 +54,7 @@ def test_run_outputs_match_golden(run, tmp_path, capsys):
 def test_golden_inputs_cover_every_model():
     scenarios = load_scenarios(RUNS["models"])
     assert {sc.model for sc in scenarios} == set(MODELS)
-    sweepable = {m for m, spec in MODELS.items() if spec.stats is not None}
+    sweepable = {m for m, spec in MODELS.items() if spec.grid is not None}
     assert {sc.model for sc in scenarios if sc.is_sweep} == sweepable
 
 
