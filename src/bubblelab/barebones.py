@@ -595,7 +595,10 @@ def simulate_timevarying(
 
     The bubble verdict compares the price-rent map slope
     beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t) with 1 over the final
-    tenth of the horizon (a liminf surrogate).
+    tenth of the horizon (a liminf surrogate): a bubble needs the minimum
+    to exceed 1 by more than the unit tolerance, the boundary
+    ``classify_regime`` draws, so a slope that steps as exactly 1 is no
+    bubble.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -626,7 +629,7 @@ def simulate_timevarying(
         path=path,
         price_rent=path.price_rent(),
         slope_ratio=slope_ratio,
-        bubble=bool(np.min(slope_ratio[-m:]) > 1.0),
+        bubble=bool(np.min(slope_ratio[-m:]) > 1.0 + UNIT_SLOPE_TOL),
         violations=tuple(violations),
     )
 

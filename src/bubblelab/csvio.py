@@ -3,8 +3,9 @@
 Format contract: comma separators, LF line endings, a header row, floats at
 12 significant digits (``%.12g``: ``nan``, ``inf``, ``-inf``, ``-0``), fields
 quoted RFC-4180 style when they need it. Deterministic byte for byte given
-the same inputs. Cells are formatted a column at a time; numbers never need
-quoting, so only the header and text cells go through ``quote_field``.
+the same inputs. Cells are formatted a column at a time, and a run of equal
+neighbouring floats (equal bit patterns) is formatted once; numbers never
+need quoting, so only the header and text cells go through ``quote_field``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,20 @@ _format_g12 = "%.12g".__mod__
 
 def format_float(x: float) -> str:
     return _format_g12(x)
+
+
+def _float_cells(arr: np.ndarray | list[float]) -> list[str]:
+    """The cells of a float column, formatting each run of neighbours with
+    the same float64 bit pattern once. Bits, not ``==``, mark a run, so
+    ``-0.0`` and ``0.0`` and NaNs with different payloads stay apart and
+    every cell gets exactly the text ``format_float`` gives it."""
+    values = np.asarray(arr, dtype=np.float64)
+    if values.size == 0:
+        return []
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    cells = np.array(list(map(_format_g12, values[starts].tolist())), dtype=object)
+    return np.repeat(cells, np.diff(starts, append=values.size)).tolist()
 
 
 def quote_field(s: str) -> str:
@@ -77,7 +92,7 @@ def emit_csv(
             cols.append(list(map(str, range(n))))
             continue
         arr = column_array(path, name, report)
-        cols.append(list(map(_format_g12, arr.tolist())) + [""] * (n - arr.size))
+        cols.append(_float_cells(arr) + [""] * (n - arr.size))
     return render_csv(list(columns), cols)
 
 
@@ -103,14 +118,14 @@ def _table_column(col: list[object] | np.ndarray) -> list[str]:
     if isinstance(col, np.ndarray):
         kind = col.dtype.kind
         if kind == "f":
-            return list(map(_format_g12, col.tolist()))
+            return _float_cells(col)
         if kind == "b":
             return np.where(col, "true", "false").tolist()
         if kind == "U":
             return list(map(quote_field, col.tolist()))
         col = col.tolist()
     if all(isinstance(v, float) for v in col):
-        return list(map(_format_g12, col))
+        return _float_cells(col)
     return list(map(_table_cell, col))
 
 

@@ -186,7 +186,7 @@ def _sweep_values(raw: str, where: str) -> tuple[float, ...]:
         lo, hi, n = _call_args(m.group(2), where, 3)
         if n != int(n) or int(n) < 2:
             raise ScenarioError(f"{where}: linspace needs an integer count >= 2")
-        return tuple(float(v) for v in np.linspace(lo, hi, int(n)))
+        return tuple(np.linspace(lo, hi, int(n)).tolist())
     raise ScenarioError(
         f"{where}: expected linspace(lo, hi, n) or [v0, v1, ...], got {raw!r}"
     )
@@ -1019,7 +1019,8 @@ def run_scenario(
     if sc.is_sweep:
         values, stats = run_sweep_values(sc)
         header = [sc.sweep, *sc.stats]
-        table = [values, *(stats[name] for name in sc.stats)]
+        grid = np.array(values, dtype=np.float64)
+        table = [grid, *(stats[name] for name in sc.stats)]
         sweep_file = out / f"{sc.name}_sweep.csv"
         _write(sweep_file, csvio.emit_table_csv(header, table))
         files.append(sweep_file)

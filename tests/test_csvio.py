@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblelab import (
     BareBonesParams,
@@ -15,7 +17,9 @@ from bubblelab import (
     csvio,
     fundamental_value,
     gross_rates,
+    simulate_forward,
     simulate_from_price,
+    steady_path,
 )
 
 # --- the per-cell reference emitter -------------------------------------------
@@ -194,3 +198,100 @@ def test_table_quotes_text_cells_and_header():
 
 def test_empty_table_is_header_only():
     assert table_csv(["x", "y"], [[], []]) == "x,y\n"
+
+
+# --- runs of equal neighbours ---------------------------------------------------
+
+# SPECIAL as bit patterns, plus NaNs with other payloads and signs (the last
+# one signalling), which ``==`` cannot tell apart from each other or from nan
+NAN_PAYLOADS = [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000001,
+                0x7FF0000000000001]
+SPECIAL_BITS = np.concatenate(
+    [np.array(SPECIAL).view(np.uint64), np.array(NAN_PAYLOADS, dtype=np.uint64)]
+)
+
+
+def ref_cells(arr: np.ndarray) -> list[str]:
+    return [ref_format_float(x) for x in arr.tolist()]
+
+
+def floats_from_bits(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, SPECIAL_BITS.size - 1), st.integers(1, 6)),
+        max_size=40,
+    ),
+    step=st.integers(1, 3),
+)
+def test_float_cells_match_reference_on_runs_of_special_values(runs, step):
+    picks = np.array([i for i, k in runs for _ in range(k)], dtype=np.intp)
+    arr = SPECIAL_BITS[picks].view(np.float64)
+    assert csvio._float_cells(arr) == ref_cells(arr)
+    assert csvio._float_cells(arr[::step]) == ref_cells(arr[::step])
+    assert csvio._float_cells(arr.tolist()) == ref_cells(arr)
+
+
+def test_float_cells_keep_bit_patterns_apart():
+    zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    assert csvio._float_cells(zeros) == ["0", "-0", "-0", "0", "0", "-0"]
+    nans = floats_from_bits(0x7FF8000000000000, 0x7FF8000000000001,
+                            0x7FF8000000000001, 0xFFF8000000000000,
+                            0x7FF0000000000001)
+    assert csvio._float_cells(nans) == ["nan"] * 5 == ref_cells(nans)
+    edges = np.array([math.inf, math.inf, -math.inf, 5e-324, 5e-324, -5e-324,
+                      2.2250738585072014e-308, 1e-310, 1e-310, 0.1])
+    assert csvio._float_cells(edges) == ref_cells(edges)
+    assert csvio._float_cells(np.array([])) == []
+    assert csvio._float_cells(np.array([-0.0])) == ["-0"]
+    assert csvio._float_cells(np.array([math.nan])) == ["nan"]
+
+
+def test_float_cells_on_strided_views():
+    arr = np.repeat(np.array([1.5, -0.0, 0.0, math.nan, 1.5, 2.0]), 3)
+    for view in (arr[::2], arr[1::3], arr[::-1], arr[::-4]):
+        assert not view.flags.c_contiguous
+        assert csvio._float_cells(view) == ref_cells(view)
+    grid = np.arange(12.0).reshape(3, 4) // 3
+    assert csvio._float_cells(grid[:, 1]) == ref_cells(grid[:, 1])
+
+
+def test_path_with_constant_columns_matches_reference():
+    """Land paths at full investment: rent constant, phi = pi, a steady
+    path constant in every column; V stops short of the path's end."""
+    bubbly = BareBonesParams(pi=0.1, beta=0.95, delta=0.08, productivity=0.7, rent=1.0)
+    balanced = BareBonesParams(pi=0.1, beta=0.95, delta=0.08, productivity=0.4, rent=1.0)
+    columns = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield",
+               "V", "bubble")
+    for path in (simulate_forward(bubbly, 20.0, 300), steady_path(balanced, 300)):
+        assert np.all(path.dividend == 1.0) and np.all(path.phi == path.phi[0])
+        report = fundamental_value(path, 120)
+        assert report.fundamental.size < len(path)
+        text = csvio.emit_csv(path, columns, report)
+        assert text == ref_emit_csv(path, columns, report)
+
+
+def test_path_with_runs_of_signed_zeros_and_nans_matches_reference():
+    price = np.repeat([2.0, 0.0, -0.0, 0.0, math.nan, math.inf, 2.0], 4)
+    price[8:12] = floats_from_bits(0x7FF8000000000001, 0x7FF8000000000001,
+                                   0xFFF8000000000000, 0x7FF8000000000000)
+    dividend = np.repeat([1.0, -0.0], price.size // 2 + 1)[: price.size]
+    with np.errstate(all="ignore"):
+        path = EquilibriumPath(price, dividend, gross_rates(price, dividend))
+        columns = ("t", "P", "D", "R", "price_rent", "yield")
+        assert csvio.emit_csv(path, columns) == ref_emit_csv(path, columns)
+
+
+def test_table_float_array_columns_with_runs_match_reference():
+    steps = np.repeat(np.array([0.1, 0.1, -0.0, 0.0, math.nan, math.inf, 1e-310]), 5)
+    grid = np.linspace(0.0, 1.0, steps.size)
+    flags = np.arange(steps.size) % 7 < 3
+    header = ["x", "steady_price", "has_bubble"]
+    got = csvio.emit_table_csv(header, [grid, steps, flags])
+    rows = zip(grid.tolist(), steps.tolist(), flags.tolist())
+    assert got == ref_emit_table_csv(header, [list(r) for r in rows])
+    # float32 and strided float64 array columns, cells as numpy scalars
+    table_csv(["a", "b"], [steps[::-1], steps.astype(np.float32)])

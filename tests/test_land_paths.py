@@ -17,6 +17,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bubblelab import (  # noqa: E402
     BareBonesParams,
+    RegimeKind,
+    classify_regime,
     constant,
     construct_equilibrium,
     simulate_forward,
@@ -114,3 +116,24 @@ def test_timevarying_boundary_matches_barebones_csv(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(ini), "--out-dir", str(out)]) == 0
     assert (out / "varying.csv").read_bytes() == (out / "fixed.csv").read_bytes()
+
+
+def test_timevarying_verdict_at_the_unit_slope_boundary():
+    """rho = 1.0000000000000002 is the boundary regime, not a bubble: the
+    time-varying verdict draws the line where ``classify_regime`` does."""
+    p = BareBonesParams(
+        pi=0.05, beta=0.8, delta=0.05, productivity=5.049999999999999, rent=1.0
+    )
+    assert classify_regime(p).kind is RegimeKind.BOUNDARY_NO_BUBBLE
+    res = simulate_timevarying(p, 50.0, 20000, constant(p.productivity), constant(1.0))
+    assert res.slope_ratio.min() > 1.0
+    assert res.bubble is False
+
+
+@PROPERTY
+@given(p=full_investment_params(), w0=st.floats(0.01, 200.0), h=st.integers(1, 600))
+def test_timevarying_verdict_with_constant_sequences_is_the_regime(p, w0, h):
+    res = simulate_timevarying(
+        p, w0, h, constant(p.productivity), constant(p.rent), require_feasible=False
+    )
+    assert res.bubble == classify_regime(p).has_bubble
