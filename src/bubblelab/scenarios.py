@@ -35,7 +35,7 @@ from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -965,13 +965,18 @@ def _summary_text(summary: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, content: str | Callable[[TextIO], object]) -> None:
     """Write through a temporary file in the same directory and rename it
-    into place, so that a failed write leaves no partial output."""
+    into place, so that a failed write leaves no partial output.
+    ``content`` is the text, or a function that writes it into the open
+    file (a CSV, a block of rows at a time)."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                content(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -1022,7 +1027,7 @@ def run_scenario(
         grid = np.array(values, dtype=np.float64)
         table = [grid, *(stats[name] for name in sc.stats)]
         sweep_file = out / f"{sc.name}_sweep.csv"
-        _write(sweep_file, csvio.emit_table_csv(header, table))
+        _write(sweep_file, lambda fh: csvio.write_table_csv(fh, header, table))
         files.append(sweep_file)
         summary: dict[str, object] = {
             "model": sc.model,
@@ -1044,7 +1049,7 @@ def run_scenario(
             csv_file = out / f"{sc.name}.csv"
             _write(
                 csv_file,
-                csvio.emit_csv(output.path, columns, output.report),
+                lambda fh: csvio.write_csv(fh, output.path, columns, output.report),
             )
             files.append(csv_file)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bubblelab import (  # noqa: E402
@@ -93,12 +93,20 @@ def test_regime_switch_window_is_simulate_forward(shock, data):
 
 @PROPERTY
 @given(p=full_investment_params(), k0=st.floats(0.0, 100.0), h=st.integers(1, 600))
+@example(  # the switch falls on the horizon
+    p=BareBonesParams(pi=0.125, beta=0.5, delta=1.0, productivity=2.5, rent=1.0),
+    k0=0.0,
+    h=1,
+)
 def test_construct_after_switch_is_simulate_forward(p, k0, h):
     built = construct_equilibrium(p, k0, h)
     j = built.prephase_length
-    if j <= h:
+    if j < h:
         tail = simulate_forward(p, built.w_switch, h - j, require_feasible=False)
         assert_same_path(built.path, tail, start=j)
+    elif j == h:
+        # a one-point tail: simulate_forward refuses horizon 0
+        assert built.path.wealth[h] == built.w_switch
 
 
 def test_timevarying_boundary_matches_barebones_csv(tmp_path):
