@@ -151,7 +151,9 @@ class RegimeKind(str, Enum):
 class NecessityTriple(NamedTuple):
     """Rate comparison behind bubble existence: the counterfactual balanced
     rate against rent growth (1, rents are constant here) and the economy's
-    long-run growth factor max(1, rho)."""
+    long-run growth factor max(1, rho), where a rho within the unit
+    tolerance of 1 counts as 1 as in the regime, so ``holds`` is
+    ``has_bubble``."""
 
     counterfactual_rate: float
     rent_growth: float
@@ -186,10 +188,11 @@ def classify_regime(p: BareBonesParams) -> Regime:
     """Which of the four long-run regimes the parameters produce. The
     boundary is detected on the price-map slope (|rho - 1| within the unit
     tolerance), keeping it consistent with the recurrence classifier."""
+    rho = price_slope(p)
     necessity = NecessityTriple(
         counterfactual_rate=balanced_rate(p),
         rent_growth=1.0,
-        economy_growth=max(1.0, price_slope(p)),
+        economy_growth=1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else max(1.0, rho),
     )
     return Regime(kind=_regime_kind(p), necessity=necessity)
 
@@ -437,43 +440,30 @@ def construct_equilibrium(
     upper = brk * bound
     dx = p.rent * p.land_supply
 
-    a = rk          # beta^j * R_k^(j+1)
-    h = 1.0         # beta^j * sum_{i<=j} R_k^i
-    bpow = p.beta   # beta^(j+1)
+    a = rk            # beta^j * R_k^(j+1)
+    h = [1.0]         # h[j] = beta^j * sum_{i<=j} R_k^i
+    bpow = [p.beta]   # bpow[j] = beta^(j+1)
     scanned = 0
     rejected: list[tuple[int, float]] = []
-
-    def prephase_shares(j: int, w0: float) -> np.ndarray | None:
-        # 1 - phi_{-i} = beta^i (1-pi) + (DX / w0) * beta^(i-1) sum_{s<i} R_k^s
-        shares = np.empty(j)
-        u = 1.0      # beta^(i-1) * sum_{s<i} R_k^s at i = 1
-        bi = p.beta  # beta^i
-        for i in range(1, j + 1):
-            one_minus = bi * (1.0 - p.pi) + (dx / w0) * u
-            phi = 1.0 - one_minus
-            if not (0.0 < phi < p.pi):
-                return None
-            shares[j - i] = phi   # index j-i is economy time for phi_{-i}
-            u = brk * u + bi
-            bi *= p.beta
-        return shares
-
     found: tuple[int, float, np.ndarray] | None = None
     for j in range(max_prephase + 1):
         scanned = j
-        num = a * k0 + dx * h
-        w0 = num / (1.0 - bpow * (1.0 - p.pi))
+        num = a * k0 + dx * h[j]
+        w0 = num / (1.0 - bpow[j] * (1.0 - p.pi))
         if w0 >= bound and (j == 0 or w0 < upper):
-            shares = prephase_shares(j, w0)
-            if shares is not None:
+            # 1 - phi_{-i} = beta^i (1-pi) + (DX / w0) h[i-1] for i = 1..j,
+            # reversed so that index j-i is economy time for phi_{-i}
+            one_minus = np.array(bpow[:j]) * (1.0 - p.pi) + (dx / w0) * np.array(h[:j])
+            shares = (1.0 - one_minus)[::-1]
+            if np.all((0.0 < shares) & (shares < p.pi)):
                 found = (j, w0, shares)
                 break
             rejected.append((j, w0))
         if num > upper:
             break
         a *= brk
-        h = brk * h + bpow
-        bpow *= p.beta
+        h.append(brk * h[j] + bpow[j])
+        bpow.append(bpow[j] * p.beta)
 
     if found is None:
         raise ConstructionError(

@@ -19,7 +19,9 @@ Value syntax depends on the key's declared kind:
 
 A section with a ``sweep`` key is a parameter sweep: ``sweep`` names the
 swept model parameter, ``values`` the grid, and ``stats`` the recorded
-statistics. Sweeps accept only model parameters, not run controls.
+statistics. Sweeps accept only model parameters, not run controls, and the
+swept parameter takes its points from ``values`` alone: giving it a value
+of its own is an error.
 
 Running a scenario writes ``<name>.csv`` (the path, when the model
 produces one), ``<name>_summary.txt``, and for sweeps ``<name>_sweep.csv``
@@ -272,137 +274,106 @@ class Scenario(NamedTuple):
         return self.sweep is not None
 
 
-def _typed_options(raw, source, model, pairs, where, sweep_key=None) -> dict:
-    """Convert the section's remaining keys and fill in schema defaults. A
-    sweep (``sweep_key`` given) takes model parameters only and leaves the
-    swept one out."""
-    schema = MODELS[model].schema
-    options: dict[str, object] = {}
-    for key, (rawval, _lineno) in pairs.items():
-        opt = schema.get(key)
-        if sweep_key is not None:
-            if opt is None or not opt.param:
-                raise ScenarioError(
-                    f"{where(key)}: only model parameters are allowed in sweeps"
-                )
-        elif key in ("values", "stats"):
-            raise ScenarioError(
-                f"{where(key)}: {key!r} is only valid in sweep scenarios"
-            )
-        elif opt is None:
-            raise ScenarioError(
-                f"{where(key)}: unknown key for model {model!r}; "
-                f"known: {', '.join(sorted(schema))}"
-            )
-        options[key] = _CONVERTERS[opt.kind](rawval, where(key))
-    for key, opt in schema.items():
-        if key in options or key == sweep_key:
-            continue
-        if sweep_key is not None and not opt.param:
-            continue
-        if opt.required:
-            raise ScenarioError(
-                f"{source}:{raw.line}: [{raw.name}] is missing "
-                f"required key {key!r}"
-            )
-        if opt.default is not None:
-            options[key] = opt.default
-    if sweep_key is not None:
-        options.pop(sweep_key, None)
-    return options
-
-
 def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
+    """Check one section against its model's schema: the model, then the
+    sweep keys or the path columns, then each option in file order, then
+    the schema's defaults. A sweep takes model parameters only."""
+
     def where(key: str) -> str:
         return f"{source}:{raw.pairs[key][1]}: [{raw.name}] {key}"
 
-    pairs = dict(raw.pairs)
+    def section_error(problem: str) -> ScenarioError:
+        return ScenarioError(f"{source}:{raw.line}: [{raw.name}] {problem}")
+
+    pairs = {key: value for key, (value, _lineno) in raw.pairs.items()}
     if "model" not in pairs:
-        raise ScenarioError(
-            f"{source}:{raw.line}: [{raw.name}] is missing the model key"
-        )
-    model = pairs.pop("model")[0]
+        raise section_error("is missing the model key")
+    model = pairs.pop("model")
     if model not in MODELS:
         raise ScenarioError(
             f"{where('model')}: unknown model {model!r}; "
             f"known: {', '.join(sorted(MODELS))}"
         )
     spec = MODELS[model]
-
+    schema = spec.schema
+    sweep = values = stats = columns = None
     if "sweep" in pairs:
-        return _typed_sweep(raw, source, model, spec, pairs, where)
-
-    columns: tuple[str, ...] | None = None
-    if "columns" in pairs:
+        if spec.grid is None:
+            sweepable = sorted(m for m, s in MODELS.items() if s.grid is not None)
+            raise ScenarioError(
+                f"{where('sweep')}: model {model!r} does not support sweeps; "
+                f"sweepable: {', '.join(sweepable)}"
+            )
+        sweep = pairs.pop("sweep").strip()
+        if sweep not in schema or not schema[sweep].param:
+            params = [k for k, o in schema.items() if o.param]
+            raise section_error(
+                f"cannot sweep {sweep!r}; sweepable parameters: {', '.join(params)}"
+            )
+        if "values" not in pairs:
+            raise section_error("sweep needs a values key")
+        values = _sweep_values(pairs.pop("values"), where("values"))
+        if "stats" not in pairs:
+            raise section_error("sweep needs a stats key")
+        stats = _names(pairs.pop("stats"), where("stats"))
+        for s in stats:
+            if s not in spec.stat_names:
+                raise ScenarioError(
+                    f"{where('stats')}: unknown statistic {s!r} for {model!r}; "
+                    f"known: {', '.join(spec.stat_names)}"
+                )
+    elif "columns" in pairs:
         if not spec.columns:
             raise ScenarioError(
                 f"{where('columns')}: model {model!r} produces no path"
             )
-        columns = _names(pairs.pop("columns")[0], where("columns"))
+        columns = _names(pairs.pop("columns"), where("columns"))
 
-    options = _typed_options(raw, source, model, pairs, where)
-
-    if columns is not None:
-        for c in columns:
-            if c not in csvio.PATH_COLUMNS:
-                raise ScenarioError(
-                    f"{where('columns')}: unknown column {c!r}; "
-                    f"known: {', '.join(csvio.PATH_COLUMNS)}"
-                )
-            if c not in spec.path_columns:
-                raise ScenarioError(
-                    f"{where('columns')}: model {model!r} does not write "
-                    f"column {c!r}; it writes: {', '.join(spec.path_columns)}"
-                )
-            if c in _VALUATION_COLUMNS and options.get("truncation") is None:
-                raise ScenarioError(
-                    f"{where('columns')}: column {c!r} needs a "
-                    "truncation key to run the valuation"
-                )
-    return Scenario(name=raw.name, model=model, options=options, columns=columns)
-
-
-def _typed_sweep(raw, source, model, spec, pairs, where) -> Scenario:
-    if spec.grid is None:
-        sweepable = sorted(m for m, s in MODELS.items() if s.grid is not None)
-        raise ScenarioError(
-            f"{where('sweep')}: model {model!r} does not support sweeps; "
-            f"sweepable: {', '.join(sweepable)}"
-        )
-    schema = spec.schema
-    sweep_key = pairs.pop("sweep")[0].strip()
-    if sweep_key not in schema or not schema[sweep_key].param:
-        params = [k for k, o in schema.items() if o.param]
-        raise ScenarioError(
-            f"{source}:{raw.line}: [{raw.name}] cannot sweep {sweep_key!r}; "
-            f"sweepable parameters: {', '.join(params)}"
-        )
-    if "values" not in pairs:
-        raise ScenarioError(
-            f"{source}:{raw.line}: [{raw.name}] sweep needs a values key"
-        )
-    values = _sweep_values(pairs.pop("values")[0], where("values"))
-    if "stats" not in pairs:
-        raise ScenarioError(
-            f"{source}:{raw.line}: [{raw.name}] sweep needs a stats key"
-        )
-    stats = _names(pairs.pop("stats")[0], where("stats"))
-    for s in stats:
-        if s not in spec.stat_names:
-            raise ScenarioError(
-                f"{where('stats')}: unknown statistic {s!r} for {model!r}; "
-                f"known: {', '.join(spec.stat_names)}"
+    options: dict[str, object] = {}
+    for key, value in pairs.items():
+        opt = schema.get(key)
+        if sweep is not None and (opt is None or not opt.param):
+            problem = "only model parameters are allowed in sweeps"
+        elif key == sweep:
+            problem = (
+                "the swept parameter takes its points from the values key, "
+                "not a value of its own"
             )
+        elif key in ("values", "stats"):
+            problem = f"{key!r} is only valid in sweep scenarios"
+        elif opt is None:
+            problem = (
+                f"unknown key for model {model!r}; known: {', '.join(sorted(schema))}"
+            )
+        else:
+            options[key] = _CONVERTERS[opt.kind](value, where(key))
+            continue
+        raise ScenarioError(f"{where(key)}: {problem}")
+    for key, opt in schema.items():
+        if key in options or key == sweep or (sweep is not None and not opt.param):
+            continue
+        if opt.required:
+            raise section_error(f"is missing required key {key!r}")
+        if opt.default is not None:
+            options[key] = opt.default
 
-    options = _typed_options(raw, source, model, pairs, where, sweep_key)
-    return Scenario(
-        name=raw.name,
-        model=model,
-        options=options,
-        sweep=sweep_key,
-        sweep_values=values,
-        stats=stats,
-    )
+    for c in columns or ():
+        if c not in csvio.PATH_COLUMNS:
+            raise ScenarioError(
+                f"{where('columns')}: unknown column {c!r}; "
+                f"known: {', '.join(csvio.PATH_COLUMNS)}"
+            )
+        if c not in spec.path_columns:
+            raise ScenarioError(
+                f"{where('columns')}: model {model!r} does not write "
+                f"column {c!r}; it writes: {', '.join(spec.path_columns)}"
+            )
+        if c in _VALUATION_COLUMNS and options.get("truncation") is None:
+            raise ScenarioError(
+                f"{where('columns')}: column {c!r} needs a "
+                "truncation key to run the valuation"
+            )
+    return Scenario(raw.name, model, options, columns, sweep, values, stats)
 
 
 def parse_scenarios(text: str, source: str = "<string>") -> list[Scenario]:

@@ -317,3 +317,15 @@ def test_section_error_message(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenarios(text, source="t.ini")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("extra", ["productivity = 0.4\n", "productivity = x\n"])
+def test_swept_parameter_given_a_value_is_rejected(extra):
+    # the value used to be dropped without a word; it is refused before it
+    # is converted, and before the checks of later keys
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenarios(SW + extra + "horizon = 50\n", source="t.ini")
+    assert str(exc.value) == (
+        "t.ini:10: [g] productivity: the swept parameter takes its points "
+        "from the values key, not a value of its own"
+    )
