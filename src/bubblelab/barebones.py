@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import EquilibriumPath, gross_rates
+from .paths import EquilibriumPath
 from .recur import UNIT_SLOPE_TOL, AffineRecurrence, affine_path
 from .sequences import Sequence, constant
 
@@ -313,7 +313,6 @@ def _land_path(
     return EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         wealth=wealth,
         capital=p.beta * phi * wealth,
         phi=phi,
@@ -393,7 +392,6 @@ def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
     return EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         wealth=np.full(n, ss.wealth),
         capital=np.full(n, ss.capital),
         phi=np.full(n, ss.phi),

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import EquilibriumPath, gross_rates
+from .paths import EquilibriumPath
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ def bewley_path(p: BewleyParams, horizon: int) -> EquilibriumPath:
     return EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         meta={"model": "bewley", "price_level": eq.price_level, "growth": p.growth},
     )
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import EquilibriumPath, gross_rates
+from .paths import EquilibriumPath
 from .recur import AffineRecurrence, affine_path
 
 
@@ -125,7 +125,6 @@ def samuelson_price_path(
     path = EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         meta={"model": "samuelson", "stationary_price": eq.stationary_price},
     )
     return path
@@ -197,7 +196,6 @@ def weil_sample_path(p: WeilParams, seed: int, horizon: int) -> EquilibriumPath:
     return EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         meta={
             "model": "weil",
             "stationary_price": level,

@@ -4,8 +4,9 @@ An ``EquilibriumPath`` is a time-indexed record of (price, dividend, gross
 rate) plus the production-economy extras (wealth, capital, investment share)
 where the model defines them. All arrays have the same length; ``rate[t]``
 is the realized gross return (P_{t+1} + D_{t+1}) / P_t, so its final entry
-is NaN (there is no t+1 observation). Valuation only ever consumes rates up
-to t-1, so the NaN never propagates.
+is NaN (there is no t+1 observation). A path built without ``rate`` derives
+it with ``gross_rates``. Valuation only ever consumes rates up to t-1, so
+the NaN never propagates.
 
 ``capital[t]`` is the capital stock assembled at t and productive at t+1,
 matching the savings identity K_{t+1} + P_t X = beta * W_t row by row.
@@ -39,7 +40,7 @@ def gross_rates(price: np.ndarray, dividend: np.ndarray) -> np.ndarray:
 class EquilibriumPath:
     price: np.ndarray
     dividend: np.ndarray
-    rate: np.ndarray
+    rate: np.ndarray | None = None
     wealth: np.ndarray | None = None
     capital: np.ndarray | None = None
     phi: np.ndarray | None = None
@@ -48,7 +49,6 @@ class EquilibriumPath:
     def __post_init__(self):
         self.price = np.asarray(self.price, dtype=float)
         self.dividend = np.asarray(self.dividend, dtype=float)
-        self.rate = np.asarray(self.rate, dtype=float)
         n = self.price.size
         for name in ("dividend", "rate", "wealth", "capital", "phi"):
             arr = getattr(self, name)
@@ -58,6 +58,8 @@ class EquilibriumPath:
             setattr(self, name, arr)
             if arr.size != n:
                 raise ValueError(f"{name} has length {arr.size}, expected {n}")
+        if self.rate is None:
+            self.rate = gross_rates(self.price, self.dividend)
 
     def __len__(self) -> int:
         return int(self.price.size)

@@ -164,16 +164,20 @@ def _sequence(raw: str, where: str) -> Sequence:
     m = _CALL_RE.match(raw)
     if m:
         fn, inner = m.group(1), m.group(2)
-        if fn == "geometric":
-            a, r = _call_args(inner, where, 2)
-            return GeometricSeq(a, r)
-        if fn == "polynomial":
-            a, k = _call_args(inner, where, 2)
-            return PolynomialSeq(a, k)
-        if fn == "constant":
-            (c,) = _call_args(inner, where, 1)
-            return constant(c)
-        raise ScenarioError(f"{where}: unknown sequence form {fn!r}")
+        # (constructor, argument count); built per call so a traced ``constant`` runs
+        forms = dict(
+            geometric=(GeometricSeq, 2),
+            polynomial=(PolynomialSeq, 2),
+            constant=(constant, 1),
+        )
+        if fn not in forms:
+            raise ScenarioError(f"{where}: unknown sequence form {fn!r}")
+        make, count = forms[fn]
+        args = _call_args(inner, where, count)  # outside: ScenarioError is a ValueError
+        try:
+            return make(*args)
+        except ValueError as e:
+            raise ScenarioError(f"{where}: {e}") from None
     raise ScenarioError(
         f"{where}: expected geometric(a, r), polynomial(a, k), constant(c) "
         f"or [v0, v1, ...], got {raw!r}"

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .paths import EquilibriumPath, gross_rates
+from .paths import EquilibriumPath
 from .recur import SeriesClass, SeriesKind, classify_series, classify_series_exact
 from .sequences import ExplicitSeq, Sequence, always_positive, tail_asymptotics
 
@@ -54,7 +54,6 @@ def wilson_path(p: WilsonParams, horizon: int) -> EquilibriumPath:
     return EquilibriumPath(
         price=price,
         dividend=dividend,
-        rate=gross_rates(price, dividend),
         meta={"model": "wilson"},
     )
 

@@ -105,6 +105,51 @@ def test_string_and_bool_arrays_on_strided_views():
     assert csvio.emit_table_csv(["a"], [np.array([], dtype=str)]) == "a\n"
 
 
+def test_valuation_columns_alone_keep_one_row_per_period(tmp_path):
+    # the row count is the path's length, not the longest column's: V and
+    # bubble stop n - T rows in, and every later period is a blank row
+    sc = parse_scenarios(
+        "[p]\nmodel = barebones\npi = 0.1\nbeta = 0.95\ndelta = 0.08\n"
+        "productivity = 0.4\nrent = 1.0\np0 = 5.0\nhorizon = 40\n"
+        "truncation = 20\ncolumns = V, bubble\n",
+        source="v.ini",
+    )[0]
+    run_scenario(sc, tmp_path)
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines[0] == "V,bubble" and len(lines) == 1 + 41
+    assert all(line != "," for line in lines[1:22])
+    assert lines[22:] == [","] * 20
+
+
+@pytest.mark.parametrize("lengths", [(3, 2, 5), (B + 5, B + 2, 2 * B)])
+def test_table_stops_at_its_shortest_column(lengths):
+    columns = [np.arange(k, dtype=float) for k in lengths]
+    got = csvio.emit_table_csv(["a", "b", "c"], columns)
+    rows = zip(*(c.tolist() for c in columns))
+    assert got == ref_emit_table_csv(["a", "b", "c"], [list(r) for r in rows])
+    assert got.count("\n") == 1 + min(lengths)
+
+
+def test_t_column_is_the_periods_and_integers_write_plainly():
+    price = np.linspace(1.0, 2.0, B + 3)
+    path = EquilibriumPath(price, np.ones_like(price))
+    assert np.array_equal(csvio.column_array(path, "t"), np.arange(B + 3))
+    assert csvio.emit_csv(path, ("t",)) == "t\n" + "".join(f"{t}\n" for t in range(B + 3))
+    signed = np.array([0, -3, 10**12, 7], dtype=np.int64)
+    unsigned = np.array([0, 255, 9, 9], dtype=np.uint8)
+    got = csvio.emit_table_csv(["i", "u"], [signed, unsigned])
+    assert got == "i,u\n0,0\n-3,255\n1000000000000,9\n7,9\n"
+
+
+def test_object_array_column_is_formatted_cell_by_cell():
+    mixed = np.array([1.5, True, "a,b", None, 2, -0.0], dtype=object)
+    floats = np.array([0.1, -0.0, math.nan], dtype=object)
+    got = csvio.emit_table_csv(["m"], [mixed])
+    assert got == ref_emit_table_csv(["m"], [[v] for v in mixed.tolist()])
+    assert got == 'm\n1.5\ntrue\n"a,b"\nNone\n2\n-0\n'
+    assert csvio.emit_table_csv(["f"], [floats]) == "f\n0.1\n-0\nnan\n"
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     points=st.sampled_from((2, *EDGES, 2 * B, 2 * B + 1)),
@@ -142,7 +187,7 @@ def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing
     target = tmp_path / "g_sweep.csv"
     if existing is not None:
         target.write_text(existing)
-    column = csvio._table_column
+    column = csvio._cells
     blocks = []
 
     def failing(col):
@@ -153,7 +198,7 @@ def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing
             raise RuntimeError("formatter failed")
         return column(col)
 
-    monkeypatch.setattr(csvio, "_table_column", failing)
+    monkeypatch.setattr(csvio, "_cells", failing)
     sc = parse_scenarios(
         f"[g]\nmodel = barebones\nsweep = productivity\n"
         f"values = linspace(0.1, 0.9, {B + 1})\nstats = regime, has_bubble, "

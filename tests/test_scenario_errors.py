@@ -112,6 +112,26 @@ CASES = [
         id="empty_sequence",
     ),
     pytest.param(
+        WIL.replace("constant(0.1)", "geometric(-1, 2)"),
+        "t.ini:5: [y] dividend: scale must be nonnegative and finite",
+        id="geometric_negative_scale",
+    ),
+    pytest.param(
+        WIL.replace("constant(0.1)", "geometric(1, 0)"),
+        "t.ini:5: [y] dividend: ratio must be positive and finite",
+        id="geometric_zero_ratio",
+    ),
+    pytest.param(
+        WIL.replace("constant(0.1)", "polynomial(-1, 2)"),
+        "t.ini:5: [y] dividend: scale must be nonnegative and finite",
+        id="polynomial_negative_scale",
+    ),
+    pytest.param(
+        WIL.replace("constant(0.1)", "constant(-1)"),
+        "t.ini:5: [y] dividend: scale must be nonnegative and finite",
+        id="constant_negative_level",
+    ),
+    pytest.param(
         BB.replace("rent = 1.0\n", "") + "color = blue\n",
         (
             "t.ini:7: [g] color: unknown key for model 'barebones'; known: "
