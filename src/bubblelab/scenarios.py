@@ -246,7 +246,10 @@ class ModelSpec(NamedTuple):
     """One model as the scenario runner sees it.
 
     ``params`` turns resolved options into the model's parameter object,
-    which ``run`` receives. ``grid`` computes the statistics named in
+    and ``run(params, options)`` returns the run's summary and path.
+    ``run_scenario`` applies the ``--horizon`` and ``--seed`` overrides to
+    the keys the schema has and values the path when ``truncation`` is
+    given; no runner does either. ``grid`` computes the statistics named in
     ``stat_names`` as whole columns: it takes resolved options in which the
     swept parameter is a float64 array and returns one array per
     statistic. Run summaries read row 0 of a one-point grid. A model
@@ -257,7 +260,7 @@ class ModelSpec(NamedTuple):
 
     schema: dict[str, Opt]
     params: Callable[[dict], object]
-    run: Callable[[object, dict, int, int | None], _ModelOutput]
+    run: Callable[[object, dict], _ModelOutput]
     stat_names: tuple[str, ...] = ()
     grid: Callable[[dict], dict[str, np.ndarray]] | None = None
     columns: tuple[str, ...] = ()
@@ -360,6 +363,8 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
             raise section_error(f"is missing required key {key!r}")
         if opt.default is not None:
             options[key] = opt.default
+    if "p0" in options and "w0" in options:
+        raise ScenarioError(f"{where('w0')}: give p0 or w0, not both")
 
     for c in columns or ():
         if c not in csvio.PATH_COLUMNS:
@@ -476,7 +481,7 @@ def _grid_row(grid: Callable[[dict], dict[str, np.ndarray]], o: dict) -> dict:
 
 
 def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
-    p = _param_arrays(o, tuple(_LAND), land_supply=1.0)
+    p = _param_arrays(o, tuple(_LAND))
     a, rho = p.productivity, barebones.price_slope(p)
     low, high = barebones.threshold_values(p.pi, p.beta, p.delta)
     # the regime, as in classify_regime
@@ -560,10 +565,9 @@ def _samuelson_grid(o: dict) -> dict[str, np.ndarray]:
 class _ModelOutput(NamedTuple):
     summary: dict[str, object]
     path: EquilibriumPath | None = None
-    report: valuation.BubbleReport | None = None
 
 
-def _run_samuelson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+def _run_samuelson(p, o: dict) -> _ModelOutput:
     summary = _grid_row(_samuelson_grid, o)
     p0 = o.get("p0")
     if p0 is None:
@@ -573,35 +577,34 @@ def _run_samuelson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
                 "only autarky exists (give p0 to force an attempt)"
             )
         p0 = summary["stationary_price"]
-    path = olg.samuelson_price_path(p, p0, horizon)
+    path = olg.samuelson_price_path(p, p0, o["horizon"])
     summary["p0"] = p0
     return _ModelOutput(summary, path)
 
 
-def _run_weil(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    use_seed = o["seed"] if seed is None else seed
+def _run_weil(p, o: dict) -> _ModelOutput:
     price = olg.weil_stationary_price(p)
     if price is None:
         raise RunError(
             "no stochastic bubble at these parameters "
             "(survival-weighted demand too low)"
         )
-    path = olg.weil_sample_path(p, seed=use_seed, horizon=horizon)
+    path = olg.weil_sample_path(p, seed=o["seed"], horizon=o["horizon"])
     summary = {
         "stationary_price": price,
-        "seed": use_seed,
+        "seed": o["seed"],
         "collapse_time": path.meta["collapse_time"],
         "mean_collapse_time": path.meta["mean_collapse_time"],
     }
     return _ModelOutput(summary, path)
 
 
-def _run_bewley(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+def _run_bewley(p, o: dict) -> _ModelOutput:
     eq = bewley.bewley_price(p)
     if not eq.exists:
         return _ModelOutput({"exists": False, "reason": eq.reason})
-    path = bewley.bewley_path(p, horizon)
-    checks = bewley.bewley_validate(p, horizon=min(horizon, 1000))
+    path = bewley.bewley_path(p, o["horizon"])
+    checks = bewley.bewley_validate(p, horizon=min(o["horizon"], 1000))
     summary = {
         "exists": True,
         "price_level": eq.price_level,
@@ -612,7 +615,7 @@ def _run_bewley(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     return _ModelOutput(summary, path)
 
 
-def _run_tirole(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+def _run_tirole(p, o: dict) -> _ModelOutput:
     stats = _grid_row(_tirole_grid, o)
     bubbly = stats["crowding"] != "none"
     summary = {key: stats[key] for key in ("k_fundamental", "r_fundamental")}
@@ -629,8 +632,8 @@ def _run_tirole(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     return _ModelOutput(summary)
 
 
-def _run_wilson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
-    path = wilson.wilson_path(p, horizon)
+def _run_wilson(p, o: dict) -> _ModelOutput:
+    path = wilson.wilson_path(p, o["horizon"])
     test = wilson.wilson_bubble_test(p, horizon=o["test_horizon"])
     summary = {
         "yield_series": test.kind.value,
@@ -640,18 +643,10 @@ def _run_wilson(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     return _ModelOutput(summary, path)
 
 
-def _land_params(
-    o: dict, productivity: float | None = None, rent: float | None = None
-) -> barebones.BareBonesParams:
-    """The land economy's parameters from scenario options; productivity
-    and rent default to the options of those names."""
+def _land_params(o: dict, a: float, d: float) -> barebones.BareBonesParams:
+    """The land economy's parameters at productivity a and rent d."""
     return barebones.BareBonesParams(
-        pi=o["pi"],
-        beta=o["beta"],
-        delta=o["delta"],
-        productivity=o["productivity"] if productivity is None else productivity,
-        rent=o["rent"] if rent is None else rent,
-        land_supply=o.get("land_supply", 1.0),
+        o["pi"], o["beta"], o["delta"], a, d, o["land_supply"]
     )
 
 
@@ -674,11 +669,9 @@ def _land_summary(p: barebones.BareBonesParams, o: dict) -> dict[str, object]:
     return summary
 
 
-def _run_barebones(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
+def _run_barebones(p, o: dict) -> _ModelOutput:
     summary = _land_summary(p, o)
-    p0, w0 = o.get("p0"), o.get("w0")
-    if p0 is not None and w0 is not None:
-        raise RunError("give p0 or w0, not both")
+    p0, w0, horizon = o.get("p0"), o.get("w0"), o["horizon"]
     if p0 is not None:
         path = barebones.simulate_from_price(
             p, p0, horizon, require_feasible=o["require_feasible"]
@@ -696,19 +689,11 @@ def _run_barebones(p, o: dict, horizon: int, seed: int | None) -> _ModelOutput:
     for key in ("w_bound", "feasible"):
         if key in path.meta:
             summary[key] = path.meta[key]
-    report = None
-    trunc = o.get("truncation")
-    if trunc is not None:
-        report = valuation.fundamental_value(path, trunc)
-        summary["valuation_verdict"] = report.verdict
-        summary["limit_rate"] = report.limit_rate
-    return _ModelOutput(summary, path, report)
+    return _ModelOutput(summary, path)
 
 
-def _run_barebones_construct(
-    p, o: dict, horizon: int, seed: int | None
-) -> _ModelOutput:
-    built = barebones.construct_equilibrium(p, o["k0"], horizon)
+def _run_barebones_construct(p, o: dict) -> _ModelOutput:
+    built = barebones.construct_equilibrium(p, o["k0"], o["horizon"])
     summary = _land_summary(p, o)
     summary["prephase_length"] = built.prephase_length
     summary["w_switch"] = built.w_switch
@@ -722,17 +707,15 @@ def _run_barebones_construct(
 def _switch_params(o: dict) -> tuple[barebones.BareBonesParams, ...]:
     """Parameters before and during the shock window."""
     return (
-        _land_params(o, o["base_productivity"]),
-        _land_params(o, o["shock_productivity"], o.get("shock_rent")),
+        _land_params(o, o["base_productivity"], o["rent"]),
+        _land_params(o, o["shock_productivity"], o.get("shock_rent", o["rent"])),
     )
 
 
-def _run_barebones_switch(
-    params, o: dict, horizon: int, seed: int | None
-) -> _ModelOutput:
+def _run_barebones_switch(params, o: dict) -> _ModelOutput:
     base, shock = params
     path = barebones.simulate_regime_switch(
-        base, shock, o["shock_on"], o["shock_off"], horizon
+        base, shock, o["shock_on"], o["shock_off"], o["horizon"]
     )
     summary = {
         "base_regime": barebones.classify_regime(base).kind.value,
@@ -744,13 +727,11 @@ def _run_barebones_switch(
     return _ModelOutput(summary, path)
 
 
-def _run_barebones_timevarying(
-    p, o: dict, horizon: int, seed: int | None
-) -> _ModelOutput:
+def _run_barebones_timevarying(p, o: dict) -> _ModelOutput:
     res = barebones.simulate_timevarying(
         p,
         o["w0"],
-        horizon,
+        o["horizon"],
         productivity=o["productivity"],
         rent=o["rent"],
         require_feasible=o["require_feasible"],
@@ -844,7 +825,7 @@ MODELS: dict[str, ModelSpec] = {
             "truncation": Opt("int"),
             "require_feasible": Opt("bool", default=False),
         },
-        params=_land_params,
+        params=_positional(barebones.BareBonesParams, *_LAND),
         run=_run_barebones,
         stat_names=(
             "longrun_rate", "regime", "has_bubble", "steady_price",
@@ -856,7 +837,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "barebones_construct": ModelSpec(
         schema={**_LAND, "k0": Opt("float", required=True), **_HORIZON},
-        params=_land_params,
+        params=_positional(barebones.BareBonesParams, *_LAND),
         run=_run_barebones_construct,
         columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,
     ),
@@ -991,7 +972,8 @@ def run_scenario(
     horizon: int | None = None,
     seed: int | None = None,
 ) -> RunResult:
-    """Run one scenario, writing its CSV and summary into out_dir."""
+    """Run one scenario, writing its CSV and summary into out_dir; horizon
+    and seed override the options of those names where the model has them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: list[Path] = []
@@ -1011,21 +993,31 @@ def run_scenario(
         }
     else:
         spec = MODELS[sc.model]
-        h = horizon if horizon is not None else sc.options.get("horizon", 0)
-        output = spec.run(spec.params(sc.options), sc.options, h, seed)
-        summary = {"model": sc.model, **output.summary}
-        if output.path is not None:
+        o = dict(sc.options)
+        for key, value in (("horizon", horizon), ("seed", seed)):
+            if value is not None and key in spec.schema:
+                o[key] = value
+        # every sequence option is read for t = 0..horizon
+        for key, value in o.items():
+            if isinstance(value, ExplicitSeq) and len(value.entries) <= o["horizon"]:
+                raise RunError(
+                    f"{key}: explicit sequence has {len(value.entries)} entries; "
+                    f"horizon {o['horizon']} needs {o['horizon'] + 1}"
+                )
+        summary, path = spec.run(spec.params(o), o)
+        summary = {"model": sc.model, **summary}
+        if path is not None:
+            report = None
+            if o.get("truncation") is not None:
+                report = valuation.fundamental_value(path, o["truncation"])
+                summary["valuation_verdict"] = report.verdict
+                summary["limit_rate"] = report.limit_rate
             columns = sc.columns
             if columns is None:
-                columns = spec.columns
-                if output.report is not None:
-                    columns += _VALUATION_COLUMNS
-            _check_finite(sc, output.path, columns, output.report)
+                columns = spec.columns + (() if report is None else _VALUATION_COLUMNS)
+            _check_finite(sc, path, columns, report)
             csv_file = out / f"{sc.name}.csv"
-            _write(
-                csv_file,
-                lambda fh: csvio.write_csv(fh, output.path, columns, output.report),
-            )
+            _write(csv_file, lambda fh: csvio.write_csv(fh, path, columns, report))
             files.append(csv_file)
 
     summary_file = out / f"{sc.name}_summary.txt"

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import EquilibriumPath, csvio, gross_rates, parse_scenarios, run_scenario
-from bubblelab import scenarios
+from bubblelab import fundamental_value, scenarios
 from tests.test_csvio import NAN_PAYLOADS, ref_emit_csv, ref_emit_table_csv
 
 B = csvio.BLOCK_ROWS
@@ -176,9 +176,10 @@ def test_run_writes_what_emit_returns(tmp_path_factory, points, horizon, truncat
 
     run_scenario(path_sc, out)
     spec = scenarios.MODELS["barebones"]
-    output = spec.run(spec.params(path_sc.options), path_sc.options, horizon, None)
+    output = spec.run(spec.params(path_sc.options), path_sc.options)
+    report = fundamental_value(output.path, path_sc.options["truncation"])
     columns = spec.columns + ("V", "bubble")
-    want = csvio.emit_csv(output.path, columns, output.report)
+    want = csvio.emit_csv(output.path, columns, report)
     assert_same_text((out / "p.csv").read_text(), want)
 
 

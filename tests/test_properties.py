@@ -98,6 +98,9 @@ def scenarios(draw, model: str, sweep: bool):
             options[key] = draw(VALUES[opt.kind])
         elif opt.default is not None:
             options[key] = opt.default
+    if "p0" in options and "w0" in options:
+        # a section gives one start, not both
+        del options[draw(st.sampled_from(["p0", "w0"]))]
     name = draw(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True))
     if sweep:
         values = draw(st.lists(FINITE, min_size=1, max_size=5))

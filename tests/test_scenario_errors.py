@@ -54,6 +54,16 @@ CASES = [
         id="unknown_key",
     ),
     pytest.param(
+        BB + "p0 = 5.0\nw0 = 30.0\n",
+        "t.ini:9: [g] w0: give p0 or w0, not both",
+        id="p0_and_w0",
+    ),
+    pytest.param(
+        BB + "w0 = 30.0\ncolumns = t, speed\np0 = 5.0\n",
+        "t.ini:8: [g] w0: give p0 or w0, not both",
+        id="p0_and_w0_before_columns",
+    ),
+    pytest.param(
         BB + "values = [0.1]\n",
         "t.ini:8: [g] values: 'values' is only valid in sweep scenarios",
         id="values_in_run",

@@ -284,8 +284,9 @@ def test_run_weil_without_bubble_raises(tmp_path):
 
 
 def test_run_barebones_start_conflicts(tmp_path):
-    with pytest.raises(RunError, match="not both"):
-        run_scenario(one(bb_text("a", 0.4, "p0 = 5.0\nw0 = 30.0\n")), tmp_path)
+    # both starts is a parse error, before anything runs
+    with pytest.raises(ScenarioError, match="not both"):
+        one(bb_text("a", 0.4, "p0 = 5.0\nw0 = 30.0\n"))
     # bubbly region has no steady state to default to
     with pytest.raises(RunError, match="give p0 or w0"):
         run_scenario(one(bb_text("a", 0.7)), tmp_path)
@@ -351,6 +352,31 @@ def test_run_writes_nan_after_weil_collapse(tmp_path):
     rows = [ln.split(",") for ln in (tmp_path / "w.csv").read_text().splitlines()[1:]]
     assert rows[c - 1][2:] == ["0", "0"]  # the collapse return is a true zero
     assert all(r[1:] == ["0", "nan", "nan"] for r in rows[c:])
+
+
+@pytest.mark.parametrize(
+    "section, t",
+    [
+        (
+            "model = wilson\nbeta = 0.6\nyoung_endow = geometric(1.0, 0.5)\n"
+            "dividend = constant(0.0)\n",
+            1075,
+        ),
+        (
+            "model = bewley\nbeta = 0.9\ngamma = 1\ngrowth = 0.5\n"
+            "rich_endow = 1\npoor_endow = 0.1\n",
+            1074,
+        ),
+    ],
+    ids=["wilson", "bewley"],
+)
+def test_price_underflow_outside_weil_is_refused(tmp_path, section, t):
+    # a price that underflows to zero is no collapse: the nan returns it
+    # gives stop the run, as they do at any t before the last
+    sc = one(f"[y]\n{section}horizon = 1200\n")
+    with pytest.raises(RunError, match=rf"\[y\] column 'R' is nan at t = {t};"):
+        run_scenario(sc, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("existing", [None, "old contents\n"])
@@ -453,6 +479,66 @@ def test_horizon_and_seed_overrides(tmp_path):
     assert res.summary["seed"] == 5
 
 
+def test_overrides_skip_keys_the_model_lacks(tmp_path):
+    # --seed on a model without a seed key and --horizon on one without a
+    # horizon key write the same bytes as runs without them
+    ini = tmp_path / "o.ini"
+    ini.write_text(
+        bb_text("bb", 0.4, "p0 = 5.0\nhorizon = 40\n")
+        + "\n[tir]\nmodel = tirole\nbeta = 0.95\nalpha = 0.33333333333333331\n"
+        "delta = 0.6\ntfp = 1.0\n"
+    )
+    for name, flag in (("bb", "--seed"), ("tir", "--horizon")):
+        plain, flagged = tmp_path / f"{name}_plain", tmp_path / f"{name}_flagged"
+        assert main(["run", str(ini), name, "--out-dir", str(plain)]) == 0
+        assert main(["run", str(ini), name, "--out-dir", str(flagged), flag, "7"]) == 0
+        files = sorted(f.name for f in plain.iterdir())
+        assert files == sorted(f.name for f in flagged.iterdir())
+        for f in files:
+            assert (plain / f).read_bytes() == (flagged / f).read_bytes()
+
+
+SHORT_SEQUENCES = [
+    pytest.param(
+        "[tv]\nmodel = barebones_timevarying\npi = 0.1\nbeta = 0.95\n"
+        "delta = 0.08\nproductivity = {seq}\nrent = constant(1.0)\nw0 = 40.0\n",
+        "productivity",
+        "0.7",
+        3,
+        id="barebones_timevarying",
+    ),
+    # the Wilson bubble test needs 100 terms of an explicit sequence
+    pytest.param(
+        "[tv]\nmodel = wilson\nbeta = 0.6\nyoung_endow = {seq}\n"
+        "dividend = constant(0.1)\n",
+        "young_endow",
+        "1.0",
+        100,
+        id="wilson",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, key, entry, n", SHORT_SEQUENCES)
+def test_short_explicit_sequence_names_its_key_and_horizon(
+    tmp_path, capsys, text, key, entry, n
+):
+    text = text.format(seq="[" + ", ".join([entry] * n) + "]")
+    ini = tmp_path / "f.ini"
+    ini.write_text(text + f"horizon = {n + 7}\n")
+    out = str(tmp_path / "o")
+    assert main(["run", str(ini), "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [tv]: {key}: explicit sequence has {n} entries; "
+        f"horizon {n + 7} needs {n + 8}\n"
+    )
+    # the check reads the horizon after the override
+    with pytest.raises(RunError, match=f"^{key}: .*; horizon {n} needs {n + 1}$"):
+        run_scenario(one(text), out, horizon=n)
+    assert main(["run", str(ini), "--out-dir", out, "--horizon", str(n - 1)]) == 0
+    assert len((tmp_path / "o" / "tv.csv").read_text().splitlines()) == n + 1
+
+
 def test_runs_are_byte_deterministic(tmp_path):
     text = (
         bb_text("v", 0.4, "p0 = 5.0\nhorizon = 150\ntruncation = 40\n")
@@ -489,6 +575,16 @@ def test_cli_validate(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
     assert main(["validate", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_cli_validate_refuses_both_starts(tmp_path, capsys):
+    # a section that run would refuse fails validation too
+    bad = tmp_path / "t.ini"
+    bad.write_text(bb_text("b", 0.4, "p0 = 5.0\nw0 = 30.0\n"))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:9: [b] w0: give p0 or w0, not both\n"
+    )
 
 
 def test_cli_validate_checks_columns(tmp_path, capsys):
