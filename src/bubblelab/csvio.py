@@ -5,15 +5,37 @@ Format contract: comma separators, LF line endings, a header row, floats at
 quoted RFC-4180 style when they need it. Deterministic byte for byte given
 the same inputs, wherever the block edges below fall.
 
-One column formatter, ``_cells``, formats every column by its dtype: floats,
-bools and text once per run of equal neighbours (floats with equal bit
-patterns, equal texts), integers via str, lists and other arrays cell by
-cell. Numbers never need quoting, so only the header and text cells go
-through ``quote_field``. One block writer, ``_write_blocks``, formats
-``BLOCK_ROWS`` rows of every column, joins them with ``render_csv`` and
-writes them out before the next block, so a run holds one block of text
-however long the file. A path CSV has one row per period, its ``V`` and
-``bubble`` cells blank past the end of their arrays; a table stops at its
+How cells are made. A column's cells are rows of bytes in which a NUL byte
+is no text, and the last byte of every row is NUL, free for the separator.
+Float cells come from one vectorised kernel, ``_g12_lanes``, which gives
+``"%.12g" % x`` of a whole float64 array as four little-endian uint64 lanes
+(32 bytes) per cell: lane 0 the sign and any ``0.000`` prefix, or the whole
+of ``0``, ``-0``, ``nan``, ``inf`` and ``-inf``; lanes 1 and 2 the twelve
+digits with the point placed and the trailing zeros dropped; lane 3 the
+exponent ``e+XXX``, when there is one. The twelve digits are the rounded
+``x * 10**(11 - e)``, which the kernel computes in double-double (Dekker's
+exact product of ``x`` and ``fl(10**k)``, plus ``x`` times the rest of
+``10**k``), so that it agrees with ``%.12g`` byte for byte. It hands a cell
+to ``"%.12g" % x``, for that cell only, where it cannot decide: a fraction
+within 1e-9 of one half (a possible tie, which ``%.12g`` rounds half to
+even), ``|x|`` below 1e-290 or above 1e300 (where the exact product would
+overflow or turn subnormal), and a mantissa still out of range after the
+one correction of the exponent. Integer columns within ±1e12, where
+``%.12g`` is ``str``, and lists of floats take the same kernel; booleans,
+text (quoted where needed) and other integers become byte rows of their
+own. A NUL inside a text cell is written as 0xFF, a byte UTF-8 never uses,
+and turned back once the NULs are dropped.
+
+One block writer, ``_write_blocks``, takes ``BLOCK_ROWS`` rows of every
+column at a time. ``_block_cells`` formats the float cells of all of its
+columns together, once per run of equal bit patterns (a run never crosses
+from one column into the next) and at most ``CHUNK_CELLS`` cells per kernel
+call, and keeps of each float column only the bytes its cells use.
+``render_csv`` lays the columns side by side, puts the separators into the
+free bytes, drops the NULs and decodes the text, which is written out
+before the next block, so a run holds one block of text however long the
+file. A path CSV has one row per period, its ``V`` and ``bubble`` cells
+blank (NUL rows) past the end of their arrays; a table stops at its
 shortest column. ``write_csv`` and ``write_table_csv`` write into an open
 text file, ``emit_csv`` and ``emit_table_csv`` into a buffer whose text they
 return. Each of the four calls ``_write_blocks`` itself rather than through
@@ -23,8 +45,10 @@ that was called.
 
 from __future__ import annotations
 
+import functools
 import io
-from collections.abc import Callable
+import math
+from types import SimpleNamespace
 from typing import TextIO
 
 import numpy as np
@@ -37,39 +61,238 @@ PATH_COLUMNS = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield", "V",
 _PATH_FIELDS = dict(P="price", D="dividend", R="rate", W="wealth", K="capital", phi="phi")
 
 BLOCK_ROWS = 4096
+CHUNK_CELLS = 8192   # float cells per kernel call, which bounds its temporaries
 
 _format_g12 = "%.12g".__mod__
 
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_SPLIT = 134217729.0          # 2**27 + 1, Veltkamp's split into 26-bit halves
+_KERNEL_RANGE = (1e-290, 1e300)
+_TIE_WIDTH = 1e-9
+_EXP_OFF = 310                # exponent e of x (and 11 - e) at index e + _EXP_OFF
+_EXP_SIZE = 2 * _EXP_OFF + 1
+# lane 0 by index: sign * 5 + prefix length code, then the special values
+_LANE0 = ("", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000",
+          "0", "-0", "nan", "inf", "-inf")
+_ZERO, _NAN, _INF = 10, 12, 13
 
 
 def format_float(x: float) -> str:
     return _format_g12(x)
 
 
-def _by_runs(
-    values: np.ndarray, same: np.ndarray, fmt: Callable[[object], str]
-) -> list[str]:
-    """``fmt`` of every value, applied once per run of neighbours that
-    ``same`` (one flag per neighbouring pair) marks as equal."""
-    if values.size == 0:
-        return []
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    cells = list(map(fmt, values[starts].tolist()))
-    if len(cells) == values.size:
-        return cells
-    runs = np.diff(starts, append=values.size)
-    return np.repeat(np.array(cells, dtype=object), runs).tolist()
+def _lanes_of(cells: list[bytes]) -> np.ndarray:
+    """Byte strings of at most 8 bytes as uint64 lane values, first byte lowest."""
+    return np.array(cells, dtype="S8").view("<u8").astype(np.uint64)
 
 
-def _float_cells(arr: np.ndarray | list[float]) -> list[str]:
-    """The cells of a float column, formatting each run of neighbours with
-    the same float64 bit pattern once. Bits, not ``==``, mark a run, so
-    ``-0.0`` and ``0.0`` and NaNs with different payloads stay apart and
-    every cell gets exactly the text ``format_float`` gives it."""
-    values = np.asarray(arr, dtype=np.float64)
-    bits = values.view(np.int64)
-    return _by_runs(values, bits[1:] == bits[:-1], _format_g12)
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The kernel's lookup tables, built on its first call."""
+    digits = np.indices((10,) * 4).reshape(4, 10_000)   # of 0..9999, first digit first
+    quad = ((digits + ord("0")) << np.arange(0, 32, 8)[:, None]).sum(axis=0)
+    trailing = np.cumprod(digits[::-1] == 0, axis=0).sum(axis=0)
+
+    # point position p (0: no point in lanes 1-2) by kept digits k: masks on
+    # the digits, on the digits shifted one byte up, and the point itself
+    p, k, j = np.ogrid[:13, :13, :16]
+    frac = (p >= 1) & (k > p)
+    masks = np.zeros((13, 13, 3, 16), np.uint8)
+    masks[:, :, 0] = np.where(np.where(p == 0, j < k, j < p), 0xFF, 0)
+    masks[:, :, 1] = np.where(frac & (j > p) & (j <= k), 0xFF, 0)
+    masks[:, :, 2] = np.where(frac & (j == p), ord("."), 0)
+    masks = masks.reshape(169, 48).view("<u8").astype(np.uint64)
+
+    e = np.arange(_EXP_SIZE) - _EXP_OFF
+    fixed = (e >= -4) & (e < 12)
+    exp = [b"" if f else b"e%+03d" % x for x, f in zip(e.tolist(), fixed.tolist())]
+    return SimpleNamespace(
+        quad=quad.astype(np.uint64),
+        trailing=trailing,
+        masks=masks,
+        lane0=_lanes_of([s.encode() for s in _LANE0]),
+        point=np.where(fixed, np.where(e >= 0, e + 1, 0), 1) * 13,
+        prefix=np.where(fixed & (e < 0), -e, 0),
+        exp=_lanes_of(exp),
+        bools=np.array([b"false", b"true"], dtype="S6").view(np.uint8).reshape(2, 6),
+        pow10=np.zeros((_EXP_SIZE, 4)),
+        known=np.zeros(_EXP_SIZE, dtype=bool),
+    )
+
+
+def _pow10_parts(k: int) -> tuple[float, float, float, float]:
+    """``hi = fl(10**k)``, its Veltkamp halves and ``lo = fl(10**k - hi)``,
+    from exact integers (int/int true division is correctly rounded)."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    lo = (num * d - n * den) / (den * d)
+    m, ex = math.frexp(hi)
+    t = m * _SPLIT
+    mh = t - (t - m)
+    return hi, math.ldexp(mh, ex), math.ldexp(m - mh, ex), lo
+
+
+def _mantissa(tab: SimpleNamespace, a: np.ndarray, e: np.ndarray):
+    """``rint(a * 10**(11 - e))`` from the exact double-double product, and
+    where its fractional part lies within ``_TIE_WIDTH`` of one half."""
+    k = 11 - e + _EXP_OFF
+    lo, hi = int(k.min(initial=_EXP_OFF)), int(k.max(initial=_EXP_OFF))
+    missing = np.flatnonzero(~tab.known[lo : hi + 1]) + lo
+    for i in missing.tolist():
+        tab.pow10[i] = _pow10_parts(i - _EXP_OFF)
+    tab.known[missing] = True
+    p10, p10h, p10l, p10lo = np.take(tab.pow10, k, axis=0).T
+    p = a * p10
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    err = ((ah * p10h - p) + ah * p10l + al * p10h) + al * p10l + a * p10lo
+    whole = np.floor(p)
+    frac = (p - whole) + err
+    return whole + np.floor(frac + 0.5), np.abs(frac - 0.5) < _TIE_WIDTH
+
+
+def _g12_lanes(x: np.ndarray) -> np.ndarray:
+    """``"%.12g" % v`` of every value of the float64 array ``x``, as an
+    ``(x.size, 4)`` array of little-endian uint64 lanes (see the module
+    docstring); a NUL byte is no text, the last byte of a cell always NUL."""
+    tab = _tables()
+    sign = np.signbit(x)
+    a = np.abs(x)
+    fast = (a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    m, tie = _mantissa(tab, a, e)
+    redo = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    if redo.size:
+        e[redo] += np.where(m[redo] >= 1e12, 1, -1)
+        m[redo], tie[redo] = _mantissa(tab, a[redo], e[redo])
+    bad = (m < 1e11) | (m >= 1e12)
+    m[bad] = 1e11
+    e += _EXP_OFF
+
+    g0, rest = np.divmod(m.astype(np.int64), 100_000_000)
+    g1, g2 = np.divmod(rest, 10_000)
+    d1 = tab.quad[g0] | (tab.quad[g1] << 32)
+    d2 = tab.quad[g2]
+    trailing = tab.trailing
+    zeros = trailing[g2] + (g2 == 0) * (trailing[g1] + (g1 == 0) * trailing[g0])
+    masks = np.take(tab.masks, tab.point[e] + 12 - zeros, axis=0)
+    out = np.empty((x.size, 4), np.uint64)
+    out[:, 0] = tab.lane0[sign * 5 + tab.prefix[e]]
+    out[:, 1] = (d1 & masks[:, 0]) | ((d1 << 8) & masks[:, 2]) | masks[:, 4]
+    out[:, 2] = (d2 & masks[:, 1]) | (((d2 << 8) | (d1 >> 56)) & masks[:, 3]) | masks[:, 5]
+    out[:, 3] = tab.exp[e]
+
+    special = ~np.isfinite(x) | (x == 0)
+    if special.any():
+        at = np.flatnonzero(special)
+        s = x[at]
+        out[at] = 0
+        kind = np.where(np.isnan(s), _NAN, np.where(s == 0, _ZERO, _INF) + sign[at])
+        out[at, 0] = tab.lane0[kind]
+    out = out.astype("<u8", copy=False)
+    slow = np.flatnonzero(~(fast | special) | tie | bad)
+    if slow.size:
+        cells = out.view(np.uint8)
+        for i in slow.tolist():
+            text = _format_g12(float(x[i])).encode()
+            cells[i] = 0
+            cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _runs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and length of every run, given a flag per cell that is
+    true where a run starts."""
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=first.size)
+
+
+def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """The cells of float64 columns as uint8 rows: the kernel formats each
+    run of neighbours with the same bit pattern once, ``CHUNK_CELLS`` runs
+    at a time. Bits, not ``==``, mark a run, so ``-0.0`` and ``0.0`` and
+    NaNs with different payloads stay apart, and a run never crosses from
+    one column into the next. Each column keeps only the span of the 32
+    bytes that its cells use, and one free byte after it."""
+    offsets = np.cumsum([0] + [a.size for a in arrays])
+    values = np.concatenate(arrays) if arrays else np.empty(0)
+    bits = values.view(np.uint64)
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    first[offsets[:-1][offsets[:-1] < values.size]] = True
+    starts, lengths = _runs(first)
+    lanes = np.empty((starts.size, 4), "<u8")
+    for i in range(0, starts.size, CHUNK_CELLS):
+        lanes[i : i + CHUNK_CELLS] = _g12_lanes(values[starts[i : i + CHUNK_CELLS]])
+    cells = np.split(np.repeat(lanes, lengths, axis=0).view(np.uint8), offsets[1:-1])
+    filled = np.flatnonzero(np.diff(offsets))
+    used = np.bitwise_or.reduceat(lanes, np.searchsorted(starts, offsets[filled]), axis=0)
+    used = used.view(np.uint8) != 0
+    first, last = used.argmax(axis=1), 31 - used[:, ::-1].argmax(axis=1)
+    for j, lo, hi in zip(filled.tolist(), first.tolist(), last.tolist()):
+        cells[j] = cells[j][:, lo : hi + 2]
+    return cells
+
+
+def _text_rows(texts: list[str]) -> np.ndarray:
+    """Formatted, quoted text cells as NUL-padded UTF-8 rows with a free
+    last byte, each NUL of a text written as 0xFF."""
+    data = [s.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff") for s in texts]
+    arr = np.array(data, dtype=bytes)
+    width = arr.dtype.itemsize
+    rows = np.zeros((len(data), width + 1), np.uint8)
+    rows[:, :width] = arr.view(np.uint8).reshape(len(data), width)
+    return rows
+
+
+def _floats(col: list[object] | np.ndarray) -> np.ndarray | None:
+    """A column as float64 when the kernel gives every cell its text: float
+    arrays, integer arrays within ±1e12, lists of floats; else None."""
+    if isinstance(col, np.ndarray):
+        kind = col.dtype.kind
+        if kind == "f" or (kind in "iu" and ((col > -10**12) & (col < 10**12)).all()):
+            return col.astype(np.float64)
+        if kind != "O":
+            return None
+    if all(isinstance(v, float) for v in col):
+        return np.array(col, dtype=np.float64)
+    return None
+
+
+def _text_cells(col: list[object] | np.ndarray) -> np.ndarray:
+    """The byte rows of a column the kernel does not format: booleans from
+    a table, text arrays once per run of equal neighbours, anything else
+    cell by cell."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "b":
+            return _tables().bools[col.view(np.uint8)]
+        if col.dtype.kind == "U":
+            first = np.ones(col.size, dtype=bool)
+            first[1:] = col[1:] != col[:-1]
+            starts, lengths = _runs(first)
+            texts = list(map(quote_field, col[starts].tolist()))
+            return np.repeat(_text_rows(texts), lengths, axis=0)
+        col = col.tolist()
+    return _text_rows([quote_field(_format_value(v)) for v in col])
+
+
+def _block_cells(
+    columns: list[list[object] | np.ndarray], start: int, stop: int
+) -> list[np.ndarray]:
+    """The cells of rows ``start`` to ``stop`` of every column as uint8
+    byte rows, the float cells of all columns formatted together; a column
+    that ends before ``stop`` gets NUL rows, which are blank cells."""
+    parts = [col[start:stop] for col in columns]
+    floats = [_floats(part) for part in parts]
+    lanes = iter(_float_lanes([f for f in floats if f is not None]))
+    block = []
+    for part, values in zip(parts, floats):
+        cells = _text_cells(part) if values is None else next(lanes)
+        blank = np.zeros((stop - start - len(cells), cells.shape[1]), np.uint8)
+        block.append(np.vstack((cells, blank)) if len(blank) else cells)
+    return block
 
 
 def quote_field(s: str) -> str:
@@ -78,14 +301,21 @@ def quote_field(s: str) -> str:
     return s
 
 
-def render_csv(header: list[str] | None, columns: list[list[str]]) -> str:
-    """Join columns of formatted cells (text cells already quoted) row by
-    row, under the quoted header. A header of ``None`` gives the rows
-    alone, as for every block of a file but its first."""
-    lines = list(map(",".join, zip(*columns)))
-    if header is not None:
-        lines.insert(0, ",".join(map(quote_field, header)))
-    return "\n".join(lines) + "\n" if lines else ""
+def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> str:
+    """Join columns of cells given as uint8 byte rows of one length (NUL
+    bytes are no text, the last byte of a row is free) row by row, under the
+    quoted header. A header of ``None`` gives the rows alone, as for every
+    block of a file but its first."""
+    head = "" if header is None else ",".join(map(quote_field, header)) + "\n"
+    if not columns or len(columns[0]) == 0:
+        return head
+    block = np.concatenate(columns, axis=1)
+    block[:, np.cumsum([c.shape[1] for c in columns]) - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    body = block.tobytes().translate(None, b"\0")
+    if b"\xff" in body:
+        body = body.replace(b"\xff", b"\0")
+    return head + body.decode("utf-8", "surrogatepass")
 
 
 def _format_value(v: object) -> str:
@@ -100,24 +330,6 @@ def _format_value(v: object) -> str:
     return str(v)
 
 
-def _cells(col: list[object] | np.ndarray) -> list[str]:
-    """One column's cells: an array by its dtype, a list cell by cell."""
-    if isinstance(col, np.ndarray):
-        kind = col.dtype.kind
-        if kind == "f":
-            return _float_cells(col)
-        if kind == "b":
-            return _BOOL_TEXT[col.view(np.uint8)].tolist()
-        if kind == "U":
-            return _by_runs(col, col[1:] == col[:-1], quote_field)
-        if kind in "iu":
-            return list(map(str, col.tolist()))
-        col = col.tolist()
-    if all(isinstance(v, float) for v in col):
-        return _float_cells(col)
-    return [quote_field(_format_value(v)) for v in col]
-
-
 def _write_blocks(
     out: TextIO, header: list[str], columns: list[list[object] | np.ndarray], n: int
 ) -> None:
@@ -127,10 +339,7 @@ def _write_blocks(
     head = header
     for start in range(0, max(n, 1), BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        block = [_cells(col[start:stop]) for col in columns]
-        for cells in block:
-            cells += [""] * (stop - start - len(cells))
-        out.write(render_csv(head, block))
+        out.write(render_csv(head, _block_cells(columns, start, stop)))
         head = None
 
 

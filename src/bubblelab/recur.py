@@ -151,6 +151,9 @@ def classify_limit(rec: AffineRecurrence) -> LimitClass:
     return LimitClass(LimitKind.EXPONENTIAL_DIVERGENCE, rec.slope)
 
 
+MIN_TERMS = 100   # the fewest terms ``classify_series`` decides from
+
+
 class SeriesKind(str, Enum):
     CONVERGENT = "convergent"
     DIVERGENT = "divergent"
@@ -174,11 +177,11 @@ def classify_series(terms: Iterable[float], horizon: int = 10_000) -> SeriesClas
     non-decreasing over the tail (decay no faster than C/t) and
     Inconclusive otherwise. An identically-zero tail sums trivially.
     """
-    if horizon < 100:
-        raise ValueError("horizon must be at least 100")
+    if horizon < MIN_TERMS:
+        raise ValueError(f"horizon must be at least {MIN_TERMS}")
     xs = np.fromiter(islice(iter(terms), horizon), dtype=float)
-    if xs.size < 100:
-        raise ValueError(f"need at least 100 terms, got {xs.size}")
+    if xs.size < MIN_TERMS:
+        raise ValueError(f"need at least {MIN_TERMS} terms, got {xs.size}")
     if np.any(xs < 0) or not np.all(np.isfinite(xs)):
         raise ValueError("terms must be finite and nonnegative")
 

@@ -44,7 +44,7 @@ import numpy as np
 from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
 from .barebones import RegimeKind
 from .paths import EquilibriumPath
-from .recur import UNIT_SLOPE_TOL
+from .recur import MIN_TERMS, UNIT_SLOPE_TOL
 from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
 
 
@@ -365,6 +365,14 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
             options[key] = opt.default
     if "p0" in options and "w0" in options:
         raise ScenarioError(f"{where('w0')}: give p0 or w0, not both")
+    if model == "wilson" and not wilson._identically_zero(options["dividend"]):
+        # the bubble test classifies sum D_t / a_t over the terms both have
+        for key, seq in options.items():
+            if isinstance(seq, ExplicitSeq) and len(seq.entries) < MIN_TERMS:
+                raise ScenarioError(
+                    f"{where(key)}: the Wilson bubble test needs at least "
+                    f"{MIN_TERMS} entries, got {len(seq.entries)}"
+                )
 
     for c in columns or ():
         if c not in csvio.PATH_COLUMNS:

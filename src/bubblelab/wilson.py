@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import SeriesClass, SeriesKind, classify_series, classify_series_exact
+from .recur import MIN_TERMS, SeriesClass, SeriesKind, classify_series, classify_series_exact
 from .sequences import ExplicitSeq, Sequence, always_positive, tail_asymptotics
 
 
@@ -87,7 +87,7 @@ def wilson_bubble_test(p: WilsonParams, horizon: int = 10_000) -> SeriesClass:
         if isinstance(seq, ExplicitSeq):
             n = min(n, len(seq.entries))
     terms = p.dividend.values(n) / p.young_endow.values(n)
-    return classify_series(terms, horizon=max(n, 100))
+    return classify_series(terms, horizon=max(n, MIN_TERMS))
 
 
 class NecessityReport(NamedTuple):

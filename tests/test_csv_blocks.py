@@ -188,18 +188,18 @@ def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing
     target = tmp_path / "g_sweep.csv"
     if existing is not None:
         target.write_text(existing)
-    column = csvio._cells
+    block_cells = csvio._block_cells
     blocks = []
 
-    def failing(col):
-        blocks.append(len(col))
-        if len(blocks) > 4:   # the second block's first column
+    def failing(columns, start, stop):
+        blocks.append(stop - start)
+        if len(blocks) > 1:   # the second block
             # the first block is already in the temporary file
             assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"]
             raise RuntimeError("formatter failed")
-        return column(col)
+        return block_cells(columns, start, stop)
 
-    monkeypatch.setattr(csvio, "_cells", failing)
+    monkeypatch.setattr(csvio, "_block_cells", failing)
     sc = parse_scenarios(
         f"[g]\nmodel = barebones\nsweep = productivity\n"
         f"values = linspace(0.1, 0.9, {B + 1})\nstats = regime, has_bubble, "
@@ -208,7 +208,7 @@ def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing
     )[0]
     with pytest.raises(RuntimeError, match="formatter failed"):
         run_scenario(sc, tmp_path)
-    assert blocks == [B] * 4 + [1]
+    assert blocks == [B, 1]
     left = sorted(f.name for f in tmp_path.iterdir())
     assert left == ([] if existing is None else ["g_sweep.csv"])
     if existing is not None:

@@ -215,6 +215,22 @@ def ref_cells(arr: np.ndarray) -> list[str]:
     return [ref_format_float(x) for x in arr.tolist()]
 
 
+def cell_texts(rows: np.ndarray) -> list[str]:
+    """The text of every cell of a matrix of byte rows, NUL bytes dropped."""
+    return [bytes(row).translate(None, b"\0").decode() for row in rows]
+
+
+def kernel_cells(arr: np.ndarray) -> list[str]:
+    """The vectorised kernel's text of every value of a float64 array."""
+    return cell_texts(csvio._g12_lanes(arr).view(np.uint8))
+
+
+def run_cells(*columns: np.ndarray) -> list[list[str]]:
+    """The text of every cell of float64 columns formatted together, each
+    run of equal bit patterns once."""
+    return [cell_texts(rows) for rows in csvio._float_lanes(list(columns))]
+
+
 def floats_from_bits(*bits: int) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
@@ -230,33 +246,41 @@ def floats_from_bits(*bits: int) -> np.ndarray:
 def test_float_cells_match_reference_on_runs_of_special_values(runs, step):
     picks = np.array([i for i, k in runs for _ in range(k)], dtype=np.intp)
     arr = SPECIAL_BITS[picks].view(np.float64)
-    assert csvio._float_cells(arr) == ref_cells(arr)
-    assert csvio._float_cells(arr[::step]) == ref_cells(arr[::step])
-    assert csvio._float_cells(arr.tolist()) == ref_cells(arr)
+    assert kernel_cells(arr) == ref_cells(arr)
+    assert kernel_cells(arr[::step]) == ref_cells(arr[::step])
+    # runs never cross from one column into the next
+    assert run_cells(arr, arr[::step], arr[::-1]) == [
+        ref_cells(arr), ref_cells(arr[::step]), ref_cells(arr[::-1])
+    ]
+    assert table_csv(["x"], [arr.tolist()]).split("\n")[1:-1] == ref_cells(arr)
 
 
 def test_float_cells_keep_bit_patterns_apart():
     zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
-    assert csvio._float_cells(zeros) == ["0", "-0", "-0", "0", "0", "-0"]
+    assert kernel_cells(zeros) == ["0", "-0", "-0", "0", "0", "-0"]
+    assert run_cells(zeros) == [["0", "-0", "-0", "0", "0", "-0"]]
     nans = floats_from_bits(0x7FF8000000000000, 0x7FF8000000000001,
                             0x7FF8000000000001, 0xFFF8000000000000,
                             0x7FF0000000000001)
-    assert csvio._float_cells(nans) == ["nan"] * 5 == ref_cells(nans)
+    assert kernel_cells(nans) == ["nan"] * 5 == ref_cells(nans)
+    assert run_cells(nans) == [["nan"] * 5]
     edges = np.array([math.inf, math.inf, -math.inf, 5e-324, 5e-324, -5e-324,
                       2.2250738585072014e-308, 1e-310, 1e-310, 0.1])
-    assert csvio._float_cells(edges) == ref_cells(edges)
-    assert csvio._float_cells(np.array([])) == []
-    assert csvio._float_cells(np.array([-0.0])) == ["-0"]
-    assert csvio._float_cells(np.array([math.nan])) == ["nan"]
+    assert kernel_cells(edges) == ref_cells(edges)
+    assert run_cells(edges, edges[:0], edges) == [ref_cells(edges), [], ref_cells(edges)]
+    assert kernel_cells(np.array([])) == [] and run_cells(np.array([])) == [[]]
+    assert kernel_cells(np.array([-0.0])) == ["-0"]
+    assert kernel_cells(np.array([math.nan])) == ["nan"]
 
 
 def test_float_cells_on_strided_views():
     arr = np.repeat(np.array([1.5, -0.0, 0.0, math.nan, 1.5, 2.0]), 3)
     for view in (arr[::2], arr[1::3], arr[::-1], arr[::-4]):
         assert not view.flags.c_contiguous
-        assert csvio._float_cells(view) == ref_cells(view)
+        assert kernel_cells(view) == ref_cells(view)
+        assert run_cells(view) == [ref_cells(view)]
     grid = np.arange(12.0).reshape(3, 4) // 3
-    assert csvio._float_cells(grid[:, 1]) == ref_cells(grid[:, 1])
+    assert kernel_cells(grid[:, 1]) == ref_cells(grid[:, 1])
 
 
 def test_path_with_constant_columns_matches_reference():

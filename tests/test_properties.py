@@ -20,6 +20,7 @@ from bubblelab import (  # noqa: E402
     serialize_scenario,
     threshold_values,
 )
+from bubblelab.recur import MIN_TERMS  # noqa: E402
 from bubblelab.scenarios import MODELS, Scenario  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -101,6 +102,11 @@ def scenarios(draw, model: str, sweep: bool):
     if "p0" in options and "w0" in options:
         # a section gives one start, not both
         del options[draw(st.sampled_from(["p0", "w0"]))]
+    if model == "wilson":
+        # the bubble test needs MIN_TERMS entries of an explicit list
+        for key, seq in options.items():
+            if isinstance(seq, ExplicitSeq) and len(seq.entries) < MIN_TERMS:
+                options[key] = ExplicitSeq(seq.entries * MIN_TERMS)
     name = draw(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True))
     if sweep:
         values = draw(st.lists(FINITE, min_size=1, max_size=5))

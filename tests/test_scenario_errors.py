@@ -8,7 +8,7 @@ that changes a word, a line number or the order of its checks fails here.
 
 import pytest
 
-from bubblelab import ScenarioError, parse_scenarios
+from bubblelab import ScenarioError, parse_scenarios, run_scenario
 
 BB = (
     "[g]\nmodel = barebones\npi = 0.1\nbeta = 0.95\ndelta = 0.08\n"
@@ -140,6 +140,16 @@ CASES = [
         WIL.replace("constant(0.1)", "constant(-1)"),
         "t.ini:5: [y] dividend: scale must be nonnegative and finite",
         id="constant_negative_level",
+    ),
+    pytest.param(
+        WIL.replace("geometric(1.0, 1.05)", "[1.0, 1.05, 1.1]"),
+        "t.ini:4: [y] young_endow: the Wilson bubble test needs at least 100 entries, got 3",
+        id="wilson_short_young_endow",
+    ),
+    pytest.param(
+        WIL.replace("constant(0.1)", "[0.1, 0.1, 0.1, 0.1]"),
+        "t.ini:5: [y] dividend: the Wilson bubble test needs at least 100 entries, got 4",
+        id="wilson_short_dividend",
     ),
     pytest.param(
         BB.replace("rent = 1.0\n", "") + "color = blue\n",
@@ -347,6 +357,15 @@ def test_section_error_message(text, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenarios(text, source="t.ini")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dividend", ["[0, 0, 0]", "constant(0)"])
+def test_short_wilson_lists_run_when_the_dividend_is_zero(tmp_path, dividend):
+    # a zero dividend is a pure bubble: the test needs no terms at all
+    text = WIL.replace("geometric(1.0, 1.05)", "[1.0, 1.05, 1.1]")
+    (sc,) = parse_scenarios(text.replace("constant(0.1)", dividend), source="t.ini")
+    result = run_scenario(sc, tmp_path, horizon=2)
+    assert result.summary["has_bubble"] is True
 
 
 @pytest.mark.parametrize("extra", ["productivity = 0.4\n", "productivity = x\n"])

@@ -166,8 +166,10 @@ def test_sequence_values():
     assert isinstance(pol, PolynomialSeq)
     assert (pol.scale, pol.power) == (2.0, -1.5)
 
-    sc = one(text.replace("constant(0.1)", "[0.1, 0.2, 0.3]"))
-    assert sc.options["dividend"].entries == (0.1, 0.2, 0.3)
+    # the Wilson bubble test needs 100 entries of an explicit list
+    entries = [0.1, 0.2, 0.3] + [0.4] * 97
+    sc = one(text.replace("constant(0.1)", str(entries)))
+    assert sc.options["dividend"].entries == tuple(entries)
 
     assert "sequence" in err(text.replace("constant(0.1)", "spline(1, 2)"))
     assert "argument" in err(text.replace("constant(0.1)", "geometric(1)"))
@@ -214,7 +216,7 @@ def test_serialize_round_trip():
     texts = [
         bb_text("a", 0.4, "truncation = 40\ncolumns = t, P, V\nhorizon = 99\n"),
         "[w]\nmodel = wilson\nbeta = 0.6\n"
-        "young_endow = geometric(1.0, 1.05)\ndividend = [0.1, 0.2]\n",
+        f"young_endow = geometric(1.0, 1.05)\ndividend = {[0.1, 0.2] * 50}\n",
         "[g]\nmodel = barebones\nsweep = productivity\nvalues = [0.1, 0.7]\n"
         "stats = regime, longrun_rate\npi = 0.1\nbeta = 0.95\ndelta = 0.08\n"
         "rent = 1.0\n",
