@@ -253,7 +253,7 @@ def _floats(col: list[object] | np.ndarray) -> np.ndarray | None:
     if isinstance(col, np.ndarray):
         kind = col.dtype.kind
         if kind == "f" or (kind in "iu" and ((col > -10**12) & (col < 10**12)).all()):
-            return col.astype(np.float64)
+            return np.asarray(col, dtype=np.float64)
         if kind != "O":
             return None
     if all(isinstance(v, float) for v in col):

@@ -196,6 +196,16 @@ def test_table_quotes_text_cells_and_header():
     assert '"a,b","q""uote","line\nbreak",1\n' in text
 
 
+def test_text_cells_keep_nul_bytes_and_non_ascii_text():
+    # the block writer drops NUL bytes, so a NUL inside a text cell has to
+    # come through some other way; 0xFF stands in for it, which UTF-8 never uses
+    texts = ["a\0b", "\0", "été", "日本,語", "\udcff", "ÿ"]
+    text = table_csv(["s", "x"], [texts, [1.5] * len(texts)])
+    assert text.splitlines()[1:5] == ["a\0b,1.5", "\0,1.5", "été,1.5", '"日本,語",1.5']
+    # a text array keeps inner NULs (numpy drops trailing ones on its own)
+    assert table_csv(["s"], [np.array(texts)]).startswith("s\na\0b\n\n")
+
+
 def test_empty_table_is_header_only():
     assert table_csv(["x", "y"], [[], []]) == "x,y\n"
 
