@@ -230,8 +230,8 @@ def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
     filled = np.flatnonzero(np.diff(offsets))
     used = np.bitwise_or.reduceat(lanes, np.searchsorted(starts, offsets[filled]), axis=0)
     used = used.view(np.uint8) != 0
-    first, last = used.argmax(axis=1), 31 - used[:, ::-1].argmax(axis=1)
-    for j, lo, hi in zip(filled.tolist(), first.tolist(), last.tolist()):
+    lows, highs = used.argmax(axis=1), 31 - used[:, ::-1].argmax(axis=1)
+    for j, lo, hi in zip(filled.tolist(), lows.tolist(), highs.tolist()):
         cells[j] = cells[j][:, lo : hi + 2]
     return cells
 
