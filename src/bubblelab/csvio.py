@@ -49,12 +49,14 @@ import functools
 import io
 import math
 from types import SimpleNamespace
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from .paths import EquilibriumPath
-from .valuation import BubbleReport
+
+if TYPE_CHECKING:
+    from .valuation import BubbleReport
 
 PATH_COLUMNS = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield", "V", "bubble")
 

@@ -30,9 +30,12 @@ into the output directory. Output is deterministic byte for byte.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import re
+import sys
+import types
 from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
@@ -41,11 +44,29 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
+from . import barebones, csvio
 from .barebones import RegimeKind
 from .paths import EquilibriumPath
 from .recur import MIN_TERMS, UNIT_SLOPE_TOL
 from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The package's module ``name``, executed on its first attribute
+    access, so that a run loads only the models it runs."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bewley, olg, tirole, valuation, wilson = map(
+    _lazy, ("bewley", "olg", "tirole", "valuation", "wilson")
+)
 
 
 class ScenarioError(ValueError):
@@ -366,13 +387,20 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
     if "p0" in options and "w0" in options:
         raise ScenarioError(f"{where('w0')}: give p0 or w0, not both")
     if model == "wilson" and not wilson._identically_zero(options["dividend"]):
-        # the bubble test classifies sum D_t / a_t over the terms both have
-        for key, seq in options.items():
-            if isinstance(seq, ExplicitSeq) and len(seq.entries) < MIN_TERMS:
+        # the bubble test classifies sum D_t / a_t over the terms both have,
+        # and over the first test_horizon of them when either is a list
+        lists = {k: s for k, s in options.items() if isinstance(s, ExplicitSeq)}
+        for key, seq in lists.items():
+            if len(seq.entries) < MIN_TERMS:
                 raise ScenarioError(
                     f"{where(key)}: the Wilson bubble test needs at least "
                     f"{MIN_TERMS} entries, got {len(seq.entries)}"
                 )
+        if lists and options["test_horizon"] < MIN_TERMS:
+            raise ScenarioError(
+                f"{where('test_horizon')}: the Wilson bubble test needs at "
+                f"least {MIN_TERMS} terms, got {options['test_horizon']}"
+            )
 
     for c in columns or ():
         if c not in csvio.PATH_COLUMNS:
@@ -756,10 +784,14 @@ def _run_barebones_timevarying(p, o: dict) -> _ModelOutput:
 # the model registry
 
 
-def _positional(cls, *keys: str) -> Callable[[dict], object]:
-    """A params builder passing the options under keys to cls, in order."""
+def _positional(
+    module: types.ModuleType, cls: str, *keys: str
+) -> Callable[[dict], object]:
+    """A params builder passing the options under keys to module.cls, in
+    order. The class is looked up per call, so that building the registry
+    loads no model module."""
     get = itemgetter(*keys)
-    return lambda o: cls(*get(o))
+    return lambda o: getattr(module, cls)(*get(o))
 
 
 _OLG = _params("beta", "young_endow", "old_endow")
@@ -772,7 +804,7 @@ _TIROLE = ("beta", "alpha", "delta", "tfp")
 def _tirole_spec(*keys: str) -> ModelSpec:
     return ModelSpec(
         schema=_params(*keys),
-        params=_positional(tirole.TiroleParams, *keys),
+        params=_positional(tirole, "TiroleParams", *keys),
         run=_run_tirole,
         stat_names=(
             "k_fundamental", "r_fundamental", "k_bubbly", "bubble_price",
@@ -785,7 +817,7 @@ def _tirole_spec(*keys: str) -> ModelSpec:
 MODELS: dict[str, ModelSpec] = {
     "samuelson": ModelSpec(
         schema={**_OLG, "p0": Opt("float"), **_HORIZON},
-        params=_positional(olg.SamuelsonParams, *_OLG),
+        params=_positional(olg, "SamuelsonParams", *_OLG),
         run=_run_samuelson,
         stat_names=("stationary_price", "autarky_rate", "has_bubbly"),
         grid=_samuelson_grid,
@@ -798,13 +830,13 @@ MODELS: dict[str, ModelSpec] = {
             "seed": Opt("int", default=0),
             **_HORIZON,
         },
-        params=_positional(olg.WeilParams, *_OLG, "survival"),
+        params=_positional(olg, "WeilParams", *_OLG, "survival"),
         run=_run_weil,
         columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
     ),
     "bewley": ModelSpec(
         schema={**_BEWLEY, **_HORIZON},
-        params=_positional(bewley.BewleyParams, *_BEWLEY),
+        params=_positional(bewley, "BewleyParams", *_BEWLEY),
         run=_run_bewley,
         columns=_OLG_COLUMNS, path_columns=_PATH_COLUMNS,
     ),
@@ -820,7 +852,7 @@ MODELS: dict[str, ModelSpec] = {
             **_HORIZON,
             "test_horizon": Opt("int", default=10_000),
         },
-        params=_positional(wilson.WilsonParams, "beta", "young_endow", "dividend"),
+        params=_positional(wilson, "WilsonParams", "beta", "young_endow", "dividend"),
         run=_run_wilson,
         columns=_WILSON_COLUMNS, path_columns=_PATH_COLUMNS,
     ),
@@ -833,7 +865,7 @@ MODELS: dict[str, ModelSpec] = {
             "truncation": Opt("int"),
             "require_feasible": Opt("bool", default=False),
         },
-        params=_positional(barebones.BareBonesParams, *_LAND),
+        params=_positional(barebones, "BareBonesParams", *_LAND),
         run=_run_barebones,
         stat_names=(
             "longrun_rate", "regime", "has_bubble", "steady_price",
@@ -845,7 +877,7 @@ MODELS: dict[str, ModelSpec] = {
     ),
     "barebones_construct": ModelSpec(
         schema={**_LAND, "k0": Opt("float", required=True), **_HORIZON},
-        params=_positional(barebones.BareBonesParams, *_LAND),
+        params=_positional(barebones, "BareBonesParams", *_LAND),
         run=_run_barebones_construct,
         columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,
     ),

@@ -103,10 +103,14 @@ def scenarios(draw, model: str, sweep: bool):
         # a section gives one start, not both
         del options[draw(st.sampled_from(["p0", "w0"]))]
     if model == "wilson":
-        # the bubble test needs MIN_TERMS entries of an explicit list
-        for key, seq in options.items():
-            if isinstance(seq, ExplicitSeq) and len(seq.entries) < MIN_TERMS:
-                options[key] = ExplicitSeq(seq.entries * MIN_TERMS)
+        # the bubble test needs MIN_TERMS entries of an explicit list, and
+        # as long a test_horizon when either sequence is a list
+        lists = [k for k, seq in options.items() if isinstance(seq, ExplicitSeq)]
+        for key in lists:
+            if len(options[key].entries) < MIN_TERMS:
+                options[key] = ExplicitSeq(options[key].entries * MIN_TERMS)
+        if lists:
+            options["test_horizon"] = max(options["test_horizon"], MIN_TERMS)
     name = draw(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True))
     if sweep:
         values = draw(st.lists(FINITE, min_size=1, max_size=5))

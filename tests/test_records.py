@@ -90,6 +90,13 @@ RECORDS = (
 def test_every_former_export_is_still_an_attribute():
     missing = [n for n in EXPORTS + ("__version__",) if not hasattr(bubblelab, n)]
     assert missing == []
+    listed = set(dir(bubblelab))
+    assert [n for n in EXPORTS + ("__version__",) if n not in listed] == []
+    star: dict = {}
+    exec("from bubblelab import *", star)
+    assert [n for n in EXPORTS if star.get(n) is not getattr(bubblelab, n)] == []
+    with pytest.raises(AttributeError):
+        bubblelab.no_such_name
 
 
 def test_dataclasses_are_only_the_classes_that_validate_their_input():

@@ -152,6 +152,12 @@ CASES = [
         id="wilson_short_dividend",
     ),
     pytest.param(
+        WIL.replace("constant(0.1)", "[" + ", ".join(["0.1"] * 120) + "]")
+        + "test_horizon = 50\n",
+        "t.ini:6: [y] test_horizon: the Wilson bubble test needs at least 100 terms, got 50",
+        id="wilson_short_test_horizon",
+    ),
+    pytest.param(
         BB.replace("rent = 1.0\n", "") + "color = blue\n",
         (
             "t.ini:7: [g] color: unknown key for model 'barebones'; known: "
