@@ -12,19 +12,19 @@ Float cells come from one vectorised kernel, ``_g12_lanes``, which gives
 (32 bytes) per cell: lane 0 the sign and any ``0.000`` prefix, or the whole
 of ``0``, ``-0``, ``nan``, ``inf`` and ``-inf``; lanes 1 and 2 the twelve
 digits with the point placed and the trailing zeros dropped; lane 3 the
-exponent ``e+XXX``, when there is one. The twelve digits are the rounded
-``x * 10**(11 - e)``, which the kernel computes in double-double (Dekker's
-exact product of ``x`` and ``fl(10**k)``, plus ``x`` times the rest of
-``10**k``), so that it agrees with ``%.12g`` byte for byte. It hands a cell
-to ``"%.12g" % x``, for that cell only, where it cannot decide: a fraction
-within 1e-9 of one half (a possible tie, which ``%.12g`` rounds half to
-even), ``|x|`` below 1e-290 or above 1e300 (where the exact product would
-overflow or turn subnormal), and a mantissa still out of range after the
-one correction of the exponent. Integer columns within ±1e12, where
-``%.12g`` is ``str``, and lists of floats take the same kernel; booleans,
-text (quoted where needed) and other integers become byte rows of their
-own. A NUL inside a text cell is written as 0xFF, a byte UTF-8 never uses,
-and turned back once the NULs are dropped.
+exponent ``e+XXX``, when there is one. The twelve digits are ``rint(p)`` of
+the plain product ``p = fl(|x| * fl(10**(11 - e)))``, which two roundings put
+within 2.23e-4 of ``|x| * 10**(11 - e)`` below 1e12: where ``p`` lies farther
+than ``_TIE_WIDTH`` (2**-11) from a half, they are the digits of ``%.12g``.
+The kernel hands a cell to ``"%.12g" % x``, all such cells of a call in one
+batch, where it cannot decide: ``p`` within that window of a half (a possible
+tie, which ``%.12g`` rounds half to even; about 0.1% of cells), ``|x|`` below
+1e-290 or above 1e300 (beyond its powers of ten), and a mantissa still out of
+range after the one correction of the exponent. Integer columns within
+±1e12, where ``%.12g`` is ``str``, and lists of floats take the same kernel;
+booleans, text (quoted where needed) and other integers become byte rows of
+their own. A NUL inside a text cell is written as 0xFF, a byte UTF-8 never
+uses, and turned back once the NULs are dropped.
 
 One block writer, ``_write_blocks``, takes ``BLOCK_ROWS`` rows of every
 column at a time. ``_block_cells`` formats the float cells of all of its
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import io
-import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, TextIO
 
@@ -67,10 +66,12 @@ CHUNK_CELLS = 8192   # float cells per kernel call, which bounds its temporaries
 
 _format_g12 = "%.12g".__mod__
 
-_SPLIT = 134217729.0          # 2**27 + 1, Veltkamp's split into 26-bit halves
 _KERNEL_RANGE = (1e-290, 1e300)
-_TIE_WIDTH = 1e-9
-_EXP_OFF = 310                # exponent e of x (and 11 - e) at index e + _EXP_OFF
+# p = fl(a * fl(10**k)) takes two roundings of relative error u = 2**-53 each,
+# so |p - a * 10**k| <= (2u + u**2) * a * 10**k < 2.23e-4 while a * 10**k < 1e12;
+# a p farther than twice that from a half rounds as a * 10**k does
+_TIE_WIDTH = 2.0**-11
+_EXP_OFF = 310                # exponent e of x at index e + _EXP_OFF of the tables
 _EXP_SIZE = 2 * _EXP_OFF + 1
 # lane 0 by index: sign * 5 + prefix length code, then the special values
 _LANE0 = ("", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000",
@@ -85,6 +86,12 @@ def format_float(x: float) -> str:
 def _lanes_of(cells: list[bytes]) -> np.ndarray:
     """Byte strings of at most 8 bytes as uint64 lane values, first byte lowest."""
     return np.array(cells, dtype="S8").view("<u8").astype(np.uint64)
+
+
+def _pow10(k: int) -> float:
+    """``fl(10**k)`` from exact integers, correctly rounded; the kernel reads
+    the ``k = 11 - e`` of ``|x|`` in ``_KERNEL_RANGE``, one correction wider."""
+    return float(10**k) if k >= 0 else 1 / 10**-k
 
 
 @functools.cache
@@ -116,42 +123,16 @@ def _tables() -> SimpleNamespace:
         prefix=np.where(fixed & (e < 0), -e, 0),
         exp=_lanes_of(exp),
         bools=np.array([b"false", b"true"], dtype="S6").view(np.uint8).reshape(2, 6),
-        pow10=np.zeros((_EXP_SIZE, 4)),
-        known=np.zeros(_EXP_SIZE, dtype=bool),
+        pow10=np.array([_pow10(k) if -290 <= k <= 302 else 0.0 for k in (11 - e).tolist()]),
     )
 
 
-def _pow10_parts(k: int) -> tuple[float, float, float, float]:
-    """``hi = fl(10**k)``, its Veltkamp halves and ``lo = fl(10**k - hi)``,
-    from exact integers (int/int true division is correctly rounded)."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den
-    n, d = hi.as_integer_ratio()
-    lo = (num * d - n * den) / (den * d)
-    m, ex = math.frexp(hi)
-    t = m * _SPLIT
-    mh = t - (t - m)
-    return hi, math.ldexp(mh, ex), math.ldexp(m - mh, ex), lo
-
-
 def _mantissa(tab: SimpleNamespace, a: np.ndarray, e: np.ndarray):
-    """``rint(a * 10**(11 - e))`` from the exact double-double product, and
-    where its fractional part lies within ``_TIE_WIDTH`` of one half."""
-    k = 11 - e + _EXP_OFF
-    lo, hi = int(k.min(initial=_EXP_OFF)), int(k.max(initial=_EXP_OFF))
-    missing = np.flatnonzero(~tab.known[lo : hi + 1]) + lo
-    for i in missing.tolist():
-        tab.pow10[i] = _pow10_parts(i - _EXP_OFF)
-    tab.known[missing] = True
-    p10, p10h, p10l, p10lo = np.take(tab.pow10, k, axis=0).T
-    p = a * p10
-    t = a * _SPLIT
-    ah = t - (t - a)
-    al = a - ah
-    err = ((ah * p10h - p) + ah * p10l + al * p10h) + al * p10l + a * p10lo
-    whole = np.floor(p)
-    frac = (p - whole) + err
-    return whole + np.floor(frac + 0.5), np.abs(frac - 0.5) < _TIE_WIDTH
+    """``rint(a * 10**(11 - e))`` from the plain product, and where that
+    product lies within ``_TIE_WIDTH`` of a half, too close to call."""
+    p = a * tab.pow10[e + _EXP_OFF]
+    m = np.rint(p)
+    return m, np.abs(np.abs(p - m) - 0.5) < _TIE_WIDTH
 
 
 def _g12_lanes(x: np.ndarray) -> np.ndarray:
@@ -168,7 +149,8 @@ def _g12_lanes(x: np.ndarray) -> np.ndarray:
     redo = np.flatnonzero((m < 1e11) | (m >= 1e12))
     if redo.size:
         e[redo] += np.where(m[redo] >= 1e12, 1, -1)
-        m[redo], tie[redo] = _mantissa(tab, a[redo], e[redo])
+        m[redo], near = _mantissa(tab, a[redo], e[redo])
+        tie[redo] |= near     # a first pass near a half may have chosen e wrongly
     bad = (m < 1e11) | (m >= 1e12)
     m[bad] = 1e11
     e += _EXP_OFF
@@ -196,11 +178,8 @@ def _g12_lanes(x: np.ndarray) -> np.ndarray:
     out = out.astype("<u8", copy=False)
     slow = np.flatnonzero(~(fast | special) | tie | bad)
     if slow.size:
-        cells = out.view(np.uint8)
-        for i in slow.tolist():
-            text = _format_g12(float(x[i])).encode()
-            cells[i] = 0
-            cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+        texts = list(map(_format_g12, x[slow].tolist()))
+        out[slow] = np.array(texts, dtype="S32").view("<u8").reshape(slow.size, 4)
     return out
 
 

@@ -6,13 +6,18 @@ bit patterns (every exponent, subnormals, NaN payloads), a log-uniform sweep
 of every decade, a frozen list of edges (ties, rounding across a power of
 ten, the switches between fixed and exponent notation, signed zeros, the
 extremes), and one case for each branch that hands a cell back to the
-per-cell formatter. Every draw comes from a fixed seed."""
+per-cell formatter. Two more hold the hand-back window to the error of the
+kernel's product, computed in exact fractions, and the share of cells handed
+back to 0.2%. Every draw comes from a fixed seed."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bubblelab as bl
 from bubblelab import csvio
 
 
@@ -107,12 +112,44 @@ def fallbacks(monkeypatch):
 
 def test_ties_fall_back(fallbacks):
     # exact halves past the twelfth digit, which %.12g rounds half to even,
-    # then two values close to a half that the kernel decides itself
+    # and two values within the product's error of a half: all handed back;
+    # then two values just outside that window, which the kernel decides
     ties = np.array([1234567890125.0, 1234567890135.0, 12345678901250.0,
                      123456789012.5, 12345678901.25, 1234567890.125])
     near = np.array([123456789012.5 + 2**-16, 0.1234567890125])
-    assert_matches_g12(np.concatenate([ties, near]))
-    assert fallbacks == ties.tolist()
+    outside = np.array([123456789012.5 + 2**-11 + 2**-16, 0.1234567890125 - 6e-16])
+    assert_matches_g12(np.concatenate([ties, near, outside]))
+    assert fallbacks == ties.tolist() + near.tolist()
+
+
+def test_the_product_error_is_within_half_the_window():
+    # the kernel rounds p = fl(a * fl(10**k)) and hands back a cell when p
+    # lies within _TIE_WIDTH of a half; that is sound while p is within
+    # _TIE_WIDTH of a * 10**k, and this holds it to half of that, exactly
+    tab = csvio._tables()
+    rng = np.random.default_rng(16)
+    worst = Fraction(0)
+    for k in range(-290, 303):
+        p10 = tab.pow10[11 - k + csvio._EXP_OFF]
+        exact = Fraction(10) ** k
+        assert p10 == float(exact)
+        for t in rng.uniform(1e11, 1e12, 35).tolist():
+            a = float(Fraction(t) / exact)
+            worst = max(worst, abs(Fraction(a * p10) - Fraction(a) * exact))
+    assert worst < csvio._TIE_WIDTH / 2
+
+
+def test_a_near_half_before_the_exponent_correction_falls_back(fallbacks):
+    # below 9.999999999995 * 10**e the first pass can round up to 1e12; the
+    # correction then sees a plain 1e11, and only the first pass's flag
+    # sends the cell to the per-cell formatter
+    x = np.array([v for e in range(-290, 300) for v in neighbours(9.999999999995 * 10.0**e, 6)])
+    e = np.floor(np.log10(x)).astype(np.int64)
+    first, _ = csvio._mantissa(csvio._tables(), x, e)
+    x = x[first >= 1e12]
+    assert x.size > 1000 and 9.999999999994999e-290 in x
+    assert_matches_g12(x)
+    assert 9.999999999994999e-290 in fallbacks
 
 
 def test_values_outside_the_kernel_range_fall_back(fallbacks):
@@ -132,3 +169,67 @@ def test_a_mantissa_out_of_range_after_the_correction_falls_back(fallbacks, monk
     x = np.array([3.5, 123.25, 7e20])
     assert_matches_g12(x)
     assert fallbacks == x.tolist()
+
+
+@pytest.fixture
+def kernel_cells(monkeypatch):
+    """The number of cells given to the kernel."""
+    seen = [0]
+    lanes = csvio._g12_lanes
+
+    def counting(x):
+        seen[0] += x.size
+        return lanes(x)
+
+    monkeypatch.setattr(csvio, "_g12_lanes", counting)
+    return seen
+
+
+def write_stress_paths(seed: int, horizon: int = 5000) -> None:
+    """Path CSVs of the land economy (valued), Samuelson and Bewley at a
+    stress horizon, every column each path defines, starting points and
+    truncations drawn from the seed."""
+    r = random.Random(seed)
+
+    def land(productivity):
+        return bl.BareBonesParams(pi=0.1, beta=0.95, delta=0.08,
+                                  productivity=productivity, rent=1.0)
+
+    samuelson = bl.SamuelsonParams(beta=0.5, young_endow=3.0, old_endow=1.0)
+    bewley = bl.BewleyParams(beta=0.9, gamma=2.0, growth=1.02, rich_endow=2.0, poor_endow=1.0)
+    paths = [
+        bl.simulate_from_price(land(0.4), r.uniform(1.0, 10.0), horizon),
+        bl.simulate_from_price(land(0.7), r.uniform(1.0, 10.0), horizon),
+        bl.construct_equilibrium(land(0.7), 50.0 * r.random() ** 2, horizon).path,
+        bl.simulate_timevarying(land(0.7), r.uniform(40.0, 80.0), horizon,
+                                rent=bl.GeometricSeq(1.0, r.uniform(1.0, 1.02))).path,
+        bl.samuelson_price_path(
+            samuelson, bl.samuelson_equilibria(samuelson).stationary_price, horizon
+        ),
+        bl.bewley_path(bewley, horizon),
+    ]
+    for path in paths:
+        fields = {"t": 0, "price_rent": 0, "yield": 0, **csvio._PATH_FIELDS}
+        columns = [c for c, f in fields.items() if not f or getattr(path, f) is not None]
+        report = None
+        if np.all(path.dividend > 0.0):
+            t = r.randint(int(0.3 * horizon), int(0.6 * horizon))
+            report = bl.fundamental_value(path, t)
+            columns += ["V", "bubble"]
+        else:
+            columns.remove("price_rent")
+        csvio.emit_csv(path, tuple(columns), report)
+
+
+def test_few_cells_are_handed_back(fallbacks, kernel_cells):
+    # the window's share of uniformly spread fractions is 2 * _TIE_WIDTH,
+    # about 0.1%; a wider window would move more of the work into Python
+    rng = np.random.default_rng(250)
+    x = 10.0 ** rng.uniform(-290.0, 300.0, 250_000)
+    csvio._g12_lanes(x)
+    assert len(fallbacks) <= 0.002 * x.size
+    fallbacks.clear()
+    kernel_cells[0] = 0
+    write_stress_paths(seed=1)
+    assert kernel_cells[0] > 100_000
+    assert len(fallbacks) <= 0.002 * kernel_cells[0]
