@@ -296,7 +296,7 @@ def _wealth_path(p: BareBonesParams, a, d, w0: float, horizon: int) -> np.ndarra
     slope = p.beta * p.pi * (a + 1.0 - p.delta) / split
     slope = np.where(np.abs(slope - 1.0) <= UNIT_SLOPE_TOL, 1.0, slope)
     drift = d * p.land_supply / split
-    steps = (np.broadcast_to(x, (horizon + 1,))[1:] for x in (slope, drift))
+    steps = (x if np.ndim(x) == 0 else x[1:] for x in (slope, drift))
     return affine_path(*steps, w0, horizon)
 
 

@@ -30,7 +30,9 @@ One block writer, ``_write_blocks``, takes ``BLOCK_ROWS`` rows of every
 column at a time. ``_block_cells`` formats the float cells of all of its
 columns together, once per run of equal bit patterns (a run never crosses
 from one column into the next) and at most ``CHUNK_CELLS`` cells per kernel
-call, and keeps of each float column only the bytes its cells use.
+call, and keeps of each float column only the bytes its cells use: a
+column with no two equal neighbours is a view of the kernel's rows, and
+only a column with runs copies its rows out to one per cell.
 ``render_csv`` lays the columns side by side, puts the separators into the
 free bytes, drops the NULs and decodes the text, which is written out
 before the next block, so a run holds one block of text however long the
@@ -196,7 +198,9 @@ def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
     at a time. Bits, not ``==``, mark a run, so ``-0.0`` and ``0.0`` and
     NaNs with different payloads stay apart, and a run never crosses from
     one column into the next. Each column keeps only the span of the 32
-    bytes that its cells use, and one free byte after it."""
+    bytes that its cells use, and one free byte after it. A column with no
+    run longer than one cell is that span of the kernel's rows, a view; only
+    a column with longer runs repeats its rows."""
     offsets = np.cumsum([0] + [a.size for a in arrays])
     values = np.concatenate(arrays) if arrays else np.empty(0)
     bits = values.view(np.uint64)
@@ -207,12 +211,18 @@ def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
     lanes = np.empty((starts.size, 4), "<u8")
     for i in range(0, starts.size, CHUNK_CELLS):
         lanes[i : i + CHUNK_CELLS] = _g12_lanes(values[starts[i : i + CHUNK_CELLS]])
-    cells = np.split(np.repeat(lanes, lengths, axis=0).view(np.uint8), offsets[1:-1])
+    # the runs of column j are bounds[j] to bounds[j + 1]
+    bounds = np.searchsorted(starts, offsets).tolist()
     filled = np.flatnonzero(np.diff(offsets))
-    used = np.bitwise_or.reduceat(lanes, np.searchsorted(starts, offsets[filled]), axis=0)
+    used = np.bitwise_or.reduceat(lanes, np.take(bounds, filled), axis=0)
     used = used.view(np.uint8) != 0
     lows, highs = used.argmax(axis=1), 31 - used[:, ::-1].argmax(axis=1)
+    cells = [lanes[r0:r1].view(np.uint8) for r0, r1 in zip(bounds, bounds[1:])]
     for j, lo, hi in zip(filled.tolist(), lows.tolist(), highs.tolist()):
+        r0, r1 = bounds[j], bounds[j + 1]
+        if r1 - r0 < arrays[j].size:
+            # whole 32-byte rows, which numpy repeats faster than a narrower span
+            cells[j] = np.repeat(cells[j], lengths[r0:r1], axis=0)
         cells[j] = cells[j][:, lo : hi + 2]
     return cells
 

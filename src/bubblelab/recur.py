@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -89,20 +89,26 @@ def solve_affine(rec: AffineRecurrence, t: int) -> float:
 def affine_path(slope, drift, initial: float, horizon: int) -> np.ndarray:
     """Trajectory x_0..x_horizon of x_0 = initial, x_t = slope_t x_{t-1} + drift_t.
 
-    ``slope`` and ``drift`` are scalars or arrays of length ``horizon``
-    (entry t-1 drives step t). The steps run in Python floats, so an
-    explosive path overflows to inf without a numpy warning.
+    ``slope`` and ``drift`` are scalars (0-d arrays included) or arrays of
+    length ``horizon`` (entry t-1 drives step t). A scalar is stepped as one
+    repeated Python float, never expanded to ``horizon`` entries. The steps
+    run in Python floats, so an explosive path overflows to inf without a
+    numpy warning.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    slopes = np.broadcast_to(np.asarray(slope, dtype=float), (horizon,)).tolist()
-    drifts = np.broadcast_to(np.asarray(drift, dtype=float), (horizon,)).tolist()
+    slopes, drifts = (_steps(v, horizon) for v in (slope, drift))
     x = float(initial)
-    out = [x]
-    for a, c in zip(slopes, drifts):
-        x = a * x + c
-        out.append(x)
-    return np.array(out)
+    out = [x] + [x := a * x + c for a, c in zip(slopes, drifts)]
+    return np.fromiter(out, float, len(out))
+
+
+def _steps(v, horizon: int) -> Iterable[float]:
+    """The ``horizon`` per-step values of a coefficient as Python floats."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return repeat(float(v), horizon)
+    return np.broadcast_to(v, (horizon,)).tolist()
 
 
 def iterate_affine(rec: AffineRecurrence, horizon: int) -> np.ndarray:
@@ -171,6 +177,8 @@ class SeriesClass(NamedTuple):
 def classify_series(terms: Iterable[float], horizon: int = 10_000) -> SeriesClass:
     """Decide whether sum(a_t) converges from the first ``horizon`` terms.
 
+    ``terms`` is any iterable of numbers; a 1-D numeric ndarray is read as
+    ``terms[:horizon]`` in float64, without stepping through its elements.
     Terms must be nonnegative. Decision rule, on the last 10% of the sample:
     mean term ratio below 1 - 1e-3 is Convergent, above 1 + 1e-3 is
     Divergent; inside that band the series is Divergent if t*a_t is
@@ -179,7 +187,10 @@ def classify_series(terms: Iterable[float], horizon: int = 10_000) -> SeriesClas
     """
     if horizon < MIN_TERMS:
         raise ValueError(f"horizon must be at least {MIN_TERMS}")
-    xs = np.fromiter(islice(iter(terms), horizon), dtype=float)
+    if isinstance(terms, np.ndarray) and terms.ndim == 1 and terms.dtype.kind in "biuf":
+        xs = terms[:horizon].astype(float, copy=False)
+    else:
+        xs = np.fromiter(islice(iter(terms), horizon), dtype=float)
     if xs.size < MIN_TERMS:
         raise ValueError(f"need at least {MIN_TERMS} terms, got {xs.size}")
     if np.any(xs < 0) or not np.all(np.isfinite(xs)):

@@ -82,6 +82,33 @@ def test_path_blocks_match_reference(n):
             )
 
 
+def run_free(n: int, scale: float) -> np.ndarray:
+    """Floats of which no two neighbours are equal."""
+    return scale * (1.0 + np.arange(n) / 7.0) ** 1.5
+
+
+@pytest.mark.parametrize("n", (B - 1, 2 * B + 1))
+def test_run_free_columns_beside_columns_with_runs_match_reference(n):
+    """Each block mixes float columns without repeated neighbours, which
+    keep the kernel's rows, with columns whose runs are expanded."""
+    price = run_free(n, 2.0)
+    wealth = run_free(n, 5.0)
+    wealth[n // 2 :] = math.nan                      # a NaN tail
+    nans = np.array(NAN_PAYLOADS, dtype=np.uint64).view(np.float64)
+    wealth[n // 2 : n // 2 + 8] = np.repeat(nans[:4], 2)   # NaN payloads apart
+    capital = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)   # run-free by bits only
+    phi = run_free(n, 0.01)
+    for edge in range(B, n, B):
+        phi[edge - 3 : edge + 3] = 0.25              # a run across a block edge
+    path = EquilibriumPath(price, np.full(n, 1.0), wealth=wealth, capital=capital, phi=phi)
+    columns = ("t", "P", "D", "R", "W", "K", "phi", "yield", "V", "bubble")
+    for m in sorted({min(m, n) for m in (0, n - 1, n, *EDGES)}):
+        report = SimpleNamespace(fundamental=run_free(m, 3.0), bubble_component=price[:m] * 0)
+        assert_same_text(
+            csvio.emit_csv(path, columns, report), ref_emit_csv(path, columns, report)
+        )
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 def test_table_blocks_match_reference(n):
     floats = runs_across_edges(n)

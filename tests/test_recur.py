@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bubblelab.recur import (
+    MIN_TERMS,
     AffineRecurrence,
     LimitKind,
     SeriesKind,
@@ -174,6 +175,11 @@ AFFINE_PATH_CASES = {
     "array_drift": (0.3, _rng.uniform(0.0, 1.0, 25), 1.0, 25),
     "horizon_0": (0.5, 1.0, 7.5, 0),
     "overflow": (10.0, 1.0, 1.0, 400),
+    # the forms the land-economy builders pass: np.where's 0-d arrays, a
+    # constant slope with per-period drifts, and zero-stride views
+    "zero_d": (np.where(False, 1.0, RHO_LOW), np.asarray(DRIFT * 2), 3.0, 60),
+    "zero_d_slope_array_drift": (np.where(True, 1.0, 0.0), _rng.uniform(0.0, 1.0, 30), 0.5, 30),
+    "broadcast_views": (np.broadcast_to(RHO_HIGH, (50,)), np.broadcast_to(DRIFT, (50,)), 5.0, 50),
 }
 
 
@@ -267,6 +273,46 @@ def test_limit_and_series_views_agree():
 def test_series_handles_generators():
     gen = (2.0 ** (1.0 - t) for t in range(1, 5001))
     assert classify_series(gen).kind is SeriesKind.CONVERGENT
+
+
+def _with(arr: np.ndarray, at: int, value: float) -> np.ndarray:
+    arr = arr.copy()
+    arr[at] = value
+    return arr
+
+
+_t = np.arange(1, 10_001)
+# terms, horizon, and the verdict or the error text
+SERIES_FORMS = {
+    "horizon_below_length": (2.0 ** (1.0 - _t), 300, SeriesKind.CONVERGENT),
+    "harmonic": (1.0 / _t, 10_000, SeriesKind.DIVERGENT),
+    "int": (np.arange(1, 501), 10_000, SeriesKind.DIVERGENT),
+    "int_zeros": (np.zeros(200, dtype=np.int64), 10_000, SeriesKind.CONVERGENT),
+    "float32": ((1.0 / _t).astype(np.float32), 8_000, SeriesKind.DIVERGENT),
+    "float32_near_boundary": ((_t ** -1.001).astype(np.float32), 10_000, SeriesKind.INCONCLUSIVE),
+    "too_few": (np.ones(MIN_TERMS - 1), 10_000, f"need at least {MIN_TERMS} terms, got 99"),
+    "negative": (_with(1.0 / _t, 3, -1.0), 10_000, "terms must be finite and nonnegative"),
+    "nan": (_with(1.0 / _t, 500, math.nan), 10_000, "terms must be finite and nonnegative"),
+    "two_d": (np.ones((200, 2)), 10_000, "setting an array element with a sequence."),
+}
+
+
+def _series_outcome(terms, horizon):
+    """The verdict with its tail ratio's bits, or the ValueError's text."""
+    try:
+        kind, ratio = classify_series(terms, horizon)
+    except ValueError as e:
+        return str(e)
+    return kind, np.float64(ratio).tobytes()
+
+
+@pytest.mark.parametrize("case", SERIES_FORMS)
+def test_series_reads_arrays_lists_and_generators_alike(case):
+    terms, horizon, expected = SERIES_FORMS[case]
+    got = _series_outcome(terms, horizon)
+    assert got == _series_outcome(terms.tolist(), horizon)
+    assert got == _series_outcome((v for v in terms), horizon)
+    assert (got[0] if isinstance(expected, SeriesKind) else got) == expected
 
 
 def test_solve_affine_is_finite_for_large_t():
