@@ -39,6 +39,11 @@ The time-varying extension drives (A_t, D_t) as sequences; the price-rent
 ratio then follows an affine recurrence with slope
 beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t), G_t the rent growth factor,
 and the bubble verdict is a liminf test on that slope.
+
+``classify_regime`` reports R < G_d < G as ``recur.NecessityTriple``
+(re-exported here): R is the balanced rate, G_d = 1 as rents are constant,
+and G = max(1, rho), a rho within the unit tolerance of 1 counted as 1, so
+``holds`` is ``has_bubble``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import UNIT_SLOPE_TOL, AffineRecurrence, affine_path
+from .recur import UNIT_SLOPE_TOL, AffineRecurrence, NecessityTriple, affine_path
 from .sequences import Sequence, constant
 
 
@@ -70,12 +75,15 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class BareBonesParams:
-    pi: float            # probability of an investment opportunity
+    """Land economy inputs: investment probability pi, saving rate beta,
+    depreciation delta, capital productivity A, land rent D, land supply X."""
+
+    pi: float
     beta: float
     delta: float
     productivity: float  # A
     rent: float          # D
-    land_supply: float = 1.0
+    land_supply: float = 1.0  # X
 
     def __post_init__(self):
         if not (0.0 < self.pi < 1.0):
@@ -148,22 +156,6 @@ class RegimeKind(str, Enum):
     BUBBLY_UNBALANCED = "bubbly_unbalanced"
 
 
-class NecessityTriple(NamedTuple):
-    """Rate comparison behind bubble existence: the counterfactual balanced
-    rate against rent growth (1, rents are constant here) and the economy's
-    long-run growth factor max(1, rho), where a rho within the unit
-    tolerance of 1 counts as 1 as in the regime, so ``holds`` is
-    ``has_bubble``."""
-
-    counterfactual_rate: float
-    rent_growth: float
-    economy_growth: float
-
-    @property
-    def holds(self) -> bool:
-        return self.counterfactual_rate < self.rent_growth < self.economy_growth
-
-
 class Regime(NamedTuple):
     kind: RegimeKind
     necessity: NecessityTriple
@@ -190,8 +182,8 @@ def classify_regime(p: BareBonesParams) -> Regime:
     tolerance), keeping it consistent with the recurrence classifier."""
     rho = price_slope(p)
     necessity = NecessityTriple(
-        counterfactual_rate=balanced_rate(p),
-        rent_growth=1.0,
+        fundamental_rate=balanced_rate(p),
+        dividend_growth=1.0,
         economy_growth=1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else max(1.0, rho),
     )
     return Regime(kind=_regime_kind(p), necessity=necessity)

@@ -38,6 +38,11 @@ def gross_rates(price: np.ndarray, dividend: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EquilibriumPath:
+    """One equilibrium over t = 0..n-1: asset price P_t, dividend D_t,
+    realized gross return R_t (NaN at the last t), and where the model has
+    them wealth W_t, capital K_{t+1} and investment share phi_t. ``meta``
+    carries the model name and model-specific diagnostics."""
+
     price: np.ndarray
     dividend: np.ndarray
     rate: np.ndarray | None = None

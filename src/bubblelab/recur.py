@@ -14,6 +14,10 @@ the two classifiers the models share:
 * ``classify_series`` -- a finite-horizon verdict on whether a nonnegative
   series sums, used by the bubble detectors on dividend-yield terms.
 
+``NecessityTriple`` is the one record of the Bubble Necessity Theorem's
+ordering R < G_d < G (fundamental rate, dividend growth, economy growth)
+that the land economy and Wilson's economy both report.
+
 The series classifier is deliberately honest about what a finite sample can
 show. A geometric tail ratio bounded away from one is decisive either way;
 a ratio indistinguishable from one falls back to a linear-vs-sublinear tail
@@ -235,3 +239,17 @@ def classify_series_exact(ratio: float, power: float = 0.0) -> SeriesClass:
     if power < -1.0:
         return SeriesClass(SeriesKind.CONVERGENT, 1.0)
     return SeriesClass(SeriesKind.DIVERGENT, 1.0)
+
+
+class NecessityTriple(NamedTuple):
+    """Bubble Necessity Theorem (Hirano and Toda, JPE 2025): if the
+    bubbleless fundamental rate R, dividend growth G_d and the economy's
+    growth G satisfy R < G_d < G, every equilibrium is bubbly (``holds``)."""
+
+    fundamental_rate: float
+    dividend_growth: float
+    economy_growth: float
+
+    @property
+    def holds(self) -> bool:
+        return self.fundamental_rate < self.dividend_growth < self.economy_growth

@@ -697,7 +697,7 @@ def _land_summary(p: barebones.BareBonesParams, o: dict) -> dict[str, object]:
         )
     }
     necessity = barebones.classify_regime(p).necessity
-    summary["counterfactual_rate"] = necessity.counterfactual_rate
+    summary["counterfactual_rate"] = necessity.fundamental_rate
     summary["economy_growth"] = necessity.economy_growth
     if not math.isnan(stats["steady_price"]):
         summary["steady_price"] = stats["steady_price"]

@@ -49,12 +49,6 @@ _NEGLIGIBLE_TAIL = 1e-3    # tail bound vs price for a Fundamental verdict
 _BLOCK_SPAN = 200.0        # nats of -log q one block of window terms may span
 
 
-class DiscountPath(NamedTuple):
-    """Compounded discount factors q_t along a realized path."""
-
-    q: np.ndarray
-
-
 def _require_finite(name: str, values: np.ndarray) -> None:
     """Raise at the first non-finite entry, naming its value and t: a path
     that overflowed the doubles has no valuation, and its D/inf = 0 yields
@@ -82,8 +76,9 @@ def _log_discount(rates: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(rates))))
 
 
-def discount_factors(path: EquilibriumPath) -> DiscountPath:
-    return DiscountPath(q=np.exp(-_log_discount(_usable_rates(path))))
+def discount_factors(path: EquilibriumPath) -> np.ndarray:
+    """The compounded discount factors q_t, as a float64 array."""
+    return np.exp(-_log_discount(_usable_rates(path)))
 
 
 def no_arbitrage_residuals(path: EquilibriumPath) -> np.ndarray:

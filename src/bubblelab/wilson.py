@@ -13,17 +13,21 @@ dividends grow too, as long as they grow strictly slower than endowments.
 For generator-form sequences the test is exact (geometric ratios and
 polynomial powers resolve boundary cases); explicit sequences fall back to
 the finite-sample series classifier.
+
+``necessity_report`` returns ``recur.NecessityTriple``, the land economy's
+record too: R is the autarky rate (1-beta)*b/(beta*a) with old-age endowment
+b, G_d the dividend growth factor and G the endowment growth factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import MIN_TERMS, SeriesClass, SeriesKind, classify_series, classify_series_exact
+from .recur import MIN_TERMS, NecessityTriple, SeriesClass, SeriesKind
+from .recur import classify_series, classify_series_exact
 from .sequences import ExplicitSeq, Sequence, always_positive, tail_asymptotics
 
 
@@ -90,28 +94,13 @@ def wilson_bubble_test(p: WilsonParams, horizon: int = 10_000) -> SeriesClass:
     return classify_series(terms, horizon=max(n, MIN_TERMS))
 
 
-class NecessityReport(NamedTuple):
-    """The three-rate comparison behind bubble existence with positive
-    old-age endowments: autarky rate R = (1-beta)*b/(beta*a) against
-    dividend growth and endowment growth. A bubble on a dividend-paying
-    asset needs R < dividend_growth < endow_growth."""
-
-    autarky_rate: float
-    dividend_growth: float
-    endow_growth: float
-
-    @property
-    def holds(self) -> bool:
-        return self.autarky_rate < self.dividend_growth < self.endow_growth
-
-
 def necessity_report(
     beta: float,
     young_endow: float,
     old_endow: float,
     endow_growth: float,
     dividend_growth: float,
-) -> NecessityReport:
+) -> NecessityTriple:
     """Necessity check for user-supplied endowment pairs; old_endow must be
     positive (the autarky marginal rate degenerates at b = 0)."""
     if not (0.0 < beta < 1.0):
@@ -121,8 +110,8 @@ def necessity_report(
     if not (endow_growth > 0.0 and dividend_growth > 0.0):
         raise ValueError("growth rates must be positive")
     rate = (1.0 - beta) * old_endow / (beta * young_endow)
-    return NecessityReport(
-        autarky_rate=rate,
+    return NecessityTriple(
+        fundamental_rate=rate,
         dividend_growth=dividend_growth,
-        endow_growth=endow_growth,
+        economy_growth=endow_growth,
     )

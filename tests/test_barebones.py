@@ -143,8 +143,8 @@ def test_regime_grid():
 def test_necessity_triple():
     reg = classify_regime(cp(0.7))
     t = reg.necessity
-    assert t.counterfactual_rate == pytest.approx(CF_RATE_HIGH, rel=1e-14)
-    assert t.rent_growth == 1.0
+    assert t.fundamental_rate == pytest.approx(CF_RATE_HIGH, rel=1e-14)
+    assert t.dividend_growth == 1.0
     assert t.economy_growth == pytest.approx(RHO_HIGH, rel=1e-14)
     # bubble needs rate < rent growth < economy growth, and here it holds
     assert t.holds

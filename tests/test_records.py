@@ -74,10 +74,8 @@ RECORDS = (
     recur.SeriesClass,
     tirole.BubblySteady,
     tirole.TiroleSteadyStates,
-    valuation.DiscountPath,
     valuation.BubbleReport,
     valuation.YieldDetection,
-    wilson.NecessityReport,
     scenarios._RawSection,
     scenarios.Opt,
     scenarios.ModelSpec,
@@ -139,8 +137,12 @@ def test_records_unpack_by_position():
     assert path.meta["prephase_length"] == j and path.meta["w_switch"] == w_switch
     kind, tail_ratio = classify_series_exact(0.5)
     assert (kind, tail_ratio) == (recur.SeriesKind.CONVERGENT, 0.5)
-    autarky, dividend_growth, endow_growth = necessity_report(
-        0.5, 3.0, 1.0, 1.05, 1.02
-    )
+    report = necessity_report(0.5, 3.0, 1.0, 1.05, 1.02)
+    autarky, dividend_growth, endow_growth = report
     assert autarky == pytest.approx(1 / 3)
     assert (dividend_growth, endow_growth) == (1.02, 1.05)
+    # the land economy and Wilson's economy report one necessity record
+    assert type(report) is type(necessity) is recur.NecessityTriple
+    assert type(report)._fields == (
+        "fundamental_rate", "dividend_growth", "economy_growth"
+    )

@@ -34,13 +34,13 @@ SAM = SamuelsonParams(beta=0.5, young_endow=3.0, old_endow=1.0)
 
 def test_discount_factors_compound_rates():
     path = steady_path(cp(0.4), horizon=100)
-    q = discount_factors(path).q
+    q = discount_factors(path)
     assert q[0] == 1.0
     expected = SS_RATE ** (-np.arange(101, dtype=float))
     assert np.allclose(q, expected, rtol=1e-10)
     # q_{t+1} R_t = q_t on a path with varying rates too
     moving = simulate_from_price(cp(0.4), p0=5.0, horizon=200)
-    q = discount_factors(moving).q
+    q = discount_factors(moving)
     assert np.allclose(q[1:] * moving.rate[:-1], q[:-1], rtol=1e-12)
 
 
@@ -318,7 +318,7 @@ def test_valuation_where_discount_factors_underflow():
     # -log q passes 745 near t = 33 000: q_t underflows to zero, yet every
     # window spans only T periods and values exactly
     path = steady_path(cp(0.4), horizon=40_000)
-    assert discount_factors(path).q[-1] == 0.0
+    assert discount_factors(path)[-1] == 0.0
     assert np.max(no_arbitrage_residuals(path)) <= 1e-10
     T = 1000
     rep = fundamental_value(path, truncation=T)

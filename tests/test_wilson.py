@@ -135,7 +135,7 @@ def test_necessity_ordering():
         endow_growth=1.05, dividend_growth=1.02,
     )
     # autarky rate (1-beta) b / (beta a) = 0.4/1.8
-    assert rep.autarky_rate == pytest.approx(0.4 / 1.8, rel=1e-14)
+    assert rep.fundamental_rate == pytest.approx(0.4 / 1.8, rel=1e-14)
     assert rep.holds
 
     # dividend growth at or above endowment growth breaks it
