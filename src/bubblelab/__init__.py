@@ -54,7 +54,7 @@ _EXPORTS = {
         "BubbleReport", "detect_bubble", "discount_factors", "fundamental_value",
         "no_arbitrage_residuals", "truncation_identity_residuals",
     ),
-    "wilson": ("WilsonParams", "necessity_report", "wilson_bubble_test", "wilson_path"),
+    "wilson": ("WilsonParams", "wilson_bubble_test", "wilson_path"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -297,7 +297,6 @@ def _land_path(
     wealth: np.ndarray,
     dividend: np.ndarray,
     phi: np.ndarray,
-    meta: dict,
 ) -> EquilibriumPath:
     """The path from wealth and investment shares phi_t: land takes
     P_t X = beta (1 - phi_t) W_t and capital K_{t+1} = beta phi_t W_t."""
@@ -308,17 +307,16 @@ def _land_path(
         wealth=wealth,
         capital=p.beta * phi * wealth,
         phi=phi,
-        meta=meta,
     )
 
 
 def _full_investment(
-    p: BareBonesParams, a: np.ndarray, d: np.ndarray, w0: float, meta: dict
+    p: BareBonesParams, a: np.ndarray, d: np.ndarray, w0: float
 ) -> tuple[EquilibriumPath, list[int]]:
     """Full-investment path under per-period A_t and D_t (arrays of equal
     length), with the periods whose land return beats capital's."""
     n = a.size
-    path = _land_path(p, _wealth_path(p, a, d, w0, n - 1), d, np.full(n, p.pi), meta)
+    path = _land_path(p, _wealth_path(p, a, d, w0, n - 1), d, np.full(n, p.pi))
     return path, _arbitrage_violations(path.price, path.rate, a + 1.0 - p.delta)
 
 
@@ -349,13 +347,14 @@ def simulate_forward(
             "land would outperform capital in early periods"
         )
     n = horizon + 1
-    return _land_path(
+    path = _land_path(
         p,
         _wealth_path(p, p.productivity, p.rent, w0, horizon),
         np.full(n, p.rent),
         np.full(n, p.pi),
-        {"model": "barebones", "w_bound": bound, "feasible": feasible},
     )
+    path.meta["feasible"] = feasible
+    return path
 
 
 def simulate_from_price(
@@ -387,7 +386,6 @@ def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
         wealth=np.full(n, ss.wealth),
         capital=np.full(n, ss.capital),
         phi=np.full(n, ss.phi),
-        meta={"model": "barebones", "steady": True},
     )
 
 
@@ -482,13 +480,7 @@ def construct_equilibrium(
         wealth = affine_path(brk, 0.0, w0 * math.exp(-j * math.log(brk)), horizon)
         phi[:] = shares[:n]
 
-    path = _land_path(
-        p,
-        wealth,
-        np.full(n, p.rent),
-        phi,
-        {"model": "barebones", "prephase_length": j, "w_switch": w0, "w_bound": bound},
-    )
+    path = _land_path(p, wealth, np.full(n, p.rent), phi)
     pre_end = min(j, n - 1)
     resid = 0.0
     if pre_end > 0:
@@ -540,16 +532,13 @@ def simulate_regime_switch(
         np.where(in_window, p_shock.productivity, p_base.productivity),
         np.where(in_window, p_shock.rent, p_base.rent),
         ss.wealth,
-        {"model": "barebones_switch", "window": (t_on, t_off)},
     )
     path.meta["arbitrage_violations"] = violations
-    path.meta["base_steady_price"] = ss.price
     return path
 
 
 class TimeVaryingResult(NamedTuple):
     path: EquilibriumPath
-    price_rent: np.ndarray      # P_t / D_t
     slope_ratio: np.ndarray     # price-rent map slope each period (t >= 1)
     bubble: bool                # liminf of the slope over the tail exceeds 1
     violations: tuple[int, ...]  # periods where land outran capital
@@ -594,7 +583,7 @@ def simulate_timevarying(
     if np.any(d <= 0.0):
         raise ValueError("rent sequence must be positive")
 
-    path, violations = _full_investment(p, a, d, w0, {"model": "barebones_timevarying"})
+    path, violations = _full_investment(p, a, d, w0)
     if require_feasible and violations:
         raise FeasibilityError(
             f"land return exceeds the capital return at t = {violations[0]}; "
@@ -607,7 +596,6 @@ def simulate_timevarying(
     m = max(10, slope_ratio.size // 10)
     return TimeVaryingResult(
         path=path,
-        price_rent=path.price_rent(),
         slope_ratio=slope_ratio,
         bubble=bool(np.min(slope_ratio[-m:]) > 1.0 + UNIT_SLOPE_TOL),
         violations=tuple(violations),

@@ -98,12 +98,7 @@ def bewley_path(p: BewleyParams, horizon: int) -> EquilibriumPath:
         raise ValueError("horizon must be at least 1")
     t = np.arange(horizon + 1, dtype=float)
     price = eq.price_level * p.growth**t
-    dividend = np.zeros(horizon + 1)
-    return EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        meta={"model": "bewley", "price_level": eq.price_level, "growth": p.growth},
-    )
+    return EquilibriumPath(price=price, dividend=np.zeros(horizon + 1))
 
 
 def bewley_validate(p: BewleyParams, horizon: int = 1000, tol: float = 1e-10) -> dict:

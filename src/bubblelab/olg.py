@@ -121,13 +121,7 @@ def samuelson_price_path(
             f"the price underflows to zero at t = {zero[0]}: the equilibrium "
             "price is positive but below the smallest double"
         )
-    dividend = np.zeros(horizon + 1)
-    path = EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        meta={"model": "samuelson", "stationary_price": eq.stationary_price},
-    )
-    return path
+    return EquilibriumPath(price=price, dividend=np.zeros(horizon + 1))
 
 
 # --- stochastic variant -------------------------------------------------
@@ -192,16 +186,9 @@ def weil_sample_path(p: WeilParams, seed: int, horizon: int) -> EquilibriumPath:
             collapse = t
             price[t:] = 0.0
             break
-    dividend = np.zeros(horizon + 1)
-    return EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        meta={
-            "model": "weil",
-            "stationary_price": level,
-            "collapse_time": collapse,
-            "mean_collapse_time": math.inf
-            if p.survival == 1.0
-            else 1.0 / (1.0 - p.survival),
-        },
+    path = EquilibriumPath(price=price, dividend=np.zeros(horizon + 1))
+    path.meta["collapse_time"] = collapse
+    path.meta["mean_collapse_time"] = (
+        math.inf if p.survival == 1.0 else 1.0 / (1.0 - p.survival)
     )
+    return path

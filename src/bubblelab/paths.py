@@ -10,6 +10,13 @@ the NaN never propagates.
 
 ``capital[t]`` is the capital stock assembled at t and productive at t+1,
 matching the savings identity K_{t+1} + P_t X = beta * W_t row by row.
+
+``meta`` holds only what a builder finds while it builds the path:
+``feasible`` (``simulate_forward``), ``prephase_rate_residual``
+(``construct_equilibrium``), ``arbitrage_violations``
+(``simulate_regime_switch``), and ``collapse_time`` with
+``mean_collapse_time`` (``weil_sample_path``). Inputs and closed forms are
+read from their own functions, not from the path.
 """
 
 from __future__ import annotations
@@ -40,8 +47,17 @@ def gross_rates(price: np.ndarray, dividend: np.ndarray) -> np.ndarray:
 class EquilibriumPath:
     """One equilibrium over t = 0..n-1: asset price P_t, dividend D_t,
     realized gross return R_t (NaN at the last t), and where the model has
-    them wealth W_t, capital K_{t+1} and investment share phi_t. ``meta``
-    carries the model name and model-specific diagnostics."""
+    them wealth W_t, capital K_{t+1} and investment share phi_t.
+
+    ``meta`` carries what the builder found, and nothing else:
+    - ``feasible`` (``simulate_forward``): the start clears the wealth floor;
+    - ``prephase_rate_residual`` (``construct_equilibrium``): the largest
+      pre-phase gap between the land and capital returns;
+    - ``arbitrage_violations`` (``simulate_regime_switch``): the periods
+      whose land return beats capital's;
+    - ``collapse_time`` and ``mean_collapse_time`` (``weil_sample_path``):
+      the first zero-price period (None if the bubble survives) and its
+      expectation 1/(1-survival)."""
 
     price: np.ndarray
     dividend: np.ndarray

@@ -661,7 +661,7 @@ def _run_tirole(p, o: dict) -> _ModelOutput:
         summary["bubble_price"] = bub.price
         summary["bubble_rate"] = bub.rate
     summary["crowding"] = stats["crowding"]
-    if p.entrepreneur_prob == 1.0:
+    if bubbly and p.entrepreneur_prob == 1.0:
         summary["savings_residual"] = tirole.savings_identity_residual(p)
     elif bubbly:
         summary["crossover_prob"] = tirole.crossover_pi(p)
@@ -722,9 +722,9 @@ def _run_barebones(p, o: dict) -> _ModelOutput:
         )
     else:
         path = barebones.steady_path(p, horizon)
-    for key in ("w_bound", "feasible"):
-        if key in path.meta:
-            summary[key] = path.meta[key]
+    if "feasible" in path.meta:
+        summary["w_bound"] = barebones.min_wealth(p)
+        summary["feasible"] = path.meta["feasible"]
     return _ModelOutput(summary, path)
 
 
@@ -733,7 +733,7 @@ def _run_barebones_construct(p, o: dict) -> _ModelOutput:
     summary = _land_summary(p, o)
     summary["prephase_length"] = built.prephase_length
     summary["w_switch"] = built.w_switch
-    summary["w_bound"] = built.path.meta["w_bound"]
+    summary["w_bound"] = barebones.min_wealth(p)
     summary["prephase_rate_residual"] = built.path.meta[
         "prephase_rate_residual"
     ]
@@ -756,7 +756,7 @@ def _run_barebones_switch(params, o: dict) -> _ModelOutput:
     summary = {
         "base_regime": barebones.classify_regime(base).kind.value,
         "shock_regime": barebones.classify_regime(shock).kind.value,
-        "base_steady_price": path.meta["base_steady_price"],
+        "base_steady_price": barebones.steady_state(base).price,
         "window": f"[{o['shock_on']}, {o['shock_off']})",
         "arbitrage_violations": len(path.meta["arbitrage_violations"]),
     }

@@ -13,10 +13,6 @@ dividends grow too, as long as they grow strictly slower than endowments.
 For generator-form sequences the test is exact (geometric ratios and
 polynomial powers resolve boundary cases); explicit sequences fall back to
 the finite-sample series classifier.
-
-``necessity_report`` returns ``recur.NecessityTriple``, the land economy's
-record too: R is the autarky rate (1-beta)*b/(beta*a) with old-age endowment
-b, G_d the dividend growth factor and G the endowment growth factor.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import MIN_TERMS, NecessityTriple, SeriesClass, SeriesKind
+from .recur import MIN_TERMS, SeriesClass, SeriesKind
 from .recur import classify_series, classify_series_exact
 from .sequences import ExplicitSeq, Sequence, always_positive, tail_asymptotics
 
@@ -54,12 +50,7 @@ def wilson_path(p: WilsonParams, horizon: int) -> EquilibriumPath:
         raise ValueError("horizon must be at least 1")
     endow = p.young_endow.values(horizon + 1)
     price = p.beta * endow
-    dividend = p.dividend.values(horizon + 1)
-    return EquilibriumPath(
-        price=price,
-        dividend=dividend,
-        meta={"model": "wilson"},
-    )
+    return EquilibriumPath(price=price, dividend=p.dividend.values(horizon + 1))
 
 
 def _identically_zero(seq: Sequence) -> bool:
@@ -92,26 +83,3 @@ def wilson_bubble_test(p: WilsonParams, horizon: int = 10_000) -> SeriesClass:
             n = min(n, len(seq.entries))
     terms = p.dividend.values(n) / p.young_endow.values(n)
     return classify_series(terms, horizon=max(n, MIN_TERMS))
-
-
-def necessity_report(
-    beta: float,
-    young_endow: float,
-    old_endow: float,
-    endow_growth: float,
-    dividend_growth: float,
-) -> NecessityTriple:
-    """Necessity check for user-supplied endowment pairs; old_endow must be
-    positive (the autarky marginal rate degenerates at b = 0)."""
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0,1)")
-    if not (young_endow > 0.0 and old_endow > 0.0):
-        raise ValueError("endowments must be positive (old_endow > 0 required)")
-    if not (endow_growth > 0.0 and dividend_growth > 0.0):
-        raise ValueError("growth rates must be positive")
-    rate = (1.0 - beta) * old_endow / (beta * young_endow)
-    return NecessityTriple(
-        fundamental_rate=rate,
-        dividend_growth=dividend_growth,
-        economy_growth=endow_growth,
-    )

@@ -185,7 +185,6 @@ def test_feasibility_enforcement():
     # at the floor the land return starts exactly at the capital return
     path = simulate_forward(p, w0=bound, horizon=10)
     assert path.meta["feasible"]
-    assert path.meta["w_bound"] == bound
     assert path.rate[0] == pytest.approx(capital_return(p), rel=1e-12)
     # opt-out produces the path but flags it, and early land returns
     # exceed what capital pays
@@ -277,7 +276,6 @@ def test_steady_path_is_constant():
     assert np.allclose(path.wealth, SS_WEALTH, rtol=1e-13)
     assert np.allclose(path.rate[:-1], SS_RATE, rtol=1e-13)
     assert np.isnan(path.rate[-1])
-    assert path.meta["steady"]
     _check_accounting(p, path)
 
 
@@ -436,7 +434,6 @@ def test_switch_rent_shock():
 def test_switch_empty_window_stays_at_steady_state():
     path = simulate_regime_switch(cp(0.4), cp(0.7), t_on=5, t_off=5, horizon=20)
     assert np.allclose(path.price, FP_PRICE, rtol=1e-12)
-    assert path.meta["window"] == (5, 5)
 
 
 def test_switch_validation():

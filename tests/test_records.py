@@ -14,7 +14,6 @@ from bubblelab import (
     classify_regime,
     classify_series_exact,
     construct_equilibrium,
-    necessity_report,
     olg,
     paths,
     recur,
@@ -33,7 +32,7 @@ MODULES = (
     wilson,
 )
 
-# every name the package exported when it still listed them in __all__
+# every public name of the package
 EXPORTS = (
     "AffineRecurrence", "BareBonesParams", "BewleyEquilibrium",
     "BewleyParams", "BubbleReport", "ConstructedEquilibrium",
@@ -49,7 +48,7 @@ EXPORTS = (
     "constant", "construct_equilibrium", "crossover_pi", "detect_bubble",
     "discount_factors", "fundamental_value", "gross_rates",
     "iterate_affine", "list_models", "load_scenarios", "longrun_rate",
-    "min_wealth", "necessity_report", "no_arbitrage_residuals",
+    "min_wealth", "no_arbitrage_residuals",
     "parse_scenarios", "price_drift", "price_recurrence", "price_slope",
     "run_scenario", "run_sweep_values", "samuelson_equilibria",
     "savings_identity_residual", "samuelson_price_path",
@@ -134,15 +133,62 @@ def test_records_unpack_by_position():
     kind, necessity = classify_regime(p)
     assert kind is barebones.RegimeKind.BUBBLY_UNBALANCED and necessity.holds
     j, w_switch, path = construct_equilibrium(p, 2.0, 50)
-    assert path.meta["prephase_length"] == j and path.meta["w_switch"] == w_switch
+    assert path.wealth[j] == w_switch
     kind, tail_ratio = classify_series_exact(0.5)
     assert (kind, tail_ratio) == (recur.SeriesKind.CONVERGENT, 0.5)
-    report = necessity_report(0.5, 3.0, 1.0, 1.05, 1.02)
-    autarky, dividend_growth, endow_growth = report
-    assert autarky == pytest.approx(1 / 3)
-    assert (dividend_growth, endow_growth) == (1.02, 1.05)
-    # the land economy and Wilson's economy report one necessity record
-    assert type(report) is type(necessity) is recur.NecessityTriple
-    assert type(report)._fields == (
+    rate, dividend_growth, economy_growth = necessity
+    assert dividend_growth == 1.0 and rate < dividend_growth < economy_growth
+    assert type(necessity) is recur.NecessityTriple
+    assert type(necessity)._fields == (
         "fundamental_rate", "dividend_growth", "economy_growth"
     )
+
+
+# every path builder, and the only ``meta`` keys it writes: the diagnostics
+# it finds while building (inputs and closed forms are read from their own
+# functions instead)
+_BUILDERS = {
+    "simulate_forward": (
+        lambda: barebones.simulate_forward(cp(0.7), 30.0, 10), {"feasible"}
+    ),
+    "simulate_from_price": (
+        lambda: barebones.simulate_from_price(cp(0.7), 1.0, 10), {"feasible"}
+    ),
+    "steady_path": (lambda: barebones.steady_path(cp(0.4), 10), set()),
+    "construct_equilibrium": (
+        lambda: construct_equilibrium(cp(0.7), 2.0, 10).path,
+        {"prephase_rate_residual"},
+    ),
+    "simulate_regime_switch": (
+        lambda: barebones.simulate_regime_switch(cp(0.4), cp(0.7), 1, 5, 10),
+        {"arbitrage_violations"},
+    ),
+    "simulate_timevarying": (
+        lambda: barebones.simulate_timevarying(cp(0.7), 30.0, 10).path, set()
+    ),
+    "samuelson_price_path": (
+        lambda: olg.samuelson_price_path(olg.SamuelsonParams(0.5, 3.0, 1.0), 0.5, 10),
+        set(),
+    ),
+    "weil_sample_path": (
+        lambda: olg.weil_sample_path(olg.WeilParams(0.5, 3.0, 1.0, 0.8), 0, 10),
+        {"collapse_time", "mean_collapse_time"},
+    ),
+    "bewley_path": (
+        lambda: bewley.bewley_path(bewley.BewleyParams(0.9, 1.0, 1.0, 2.0, 1.0), 10),
+        set(),
+    ),
+    "wilson_path": (
+        lambda: wilson.wilson_path(
+            wilson.WilsonParams(0.6, sequences.constant(1.0), sequences.constant(0.1)),
+            10,
+        ),
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BUILDERS)
+def test_builders_keep_only_what_they_find_in_meta(name):
+    build, keys = _BUILDERS[name]
+    assert set(build().meta) == keys

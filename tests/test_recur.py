@@ -9,6 +9,7 @@ from bubblelab.recur import (
     MIN_TERMS,
     AffineRecurrence,
     LimitKind,
+    NecessityTriple,
     SeriesKind,
     classify_limit,
     classify_series,
@@ -319,3 +320,18 @@ def test_solve_affine_is_finite_for_large_t():
     rec = AffineRecurrence(0.9, 1.0, 2.0)
     assert math.isfinite(solve_affine(rec, 10**6))
     assert solve_affine(rec, 10**6) == pytest.approx(10.0)
+
+
+# (fundamental rate R, dividend growth G_d, economy growth G): the Bubble
+# Necessity Theorem's condition R < G_d < G is strict in both places
+NECESSITY_CASES = [
+    pytest.param(0.4 / 1.8, 1.02, 1.05, True, id="holds"),
+    pytest.param(0.4 / 1.8, 1.05, 1.05, False, id="gd_equals_g"),
+    pytest.param(0.4 / 1.8, 1.05, 1.02, False, id="gd_above_g"),
+    pytest.param(18.0, 1.2, 1.5, False, id="r_above_gd"),
+]
+
+
+@pytest.mark.parametrize("rate, g_d, g, holds", NECESSITY_CASES)
+def test_necessity_ordering(rate, g_d, g, holds):
+    assert NecessityTriple(rate, g_d, g).holds is holds

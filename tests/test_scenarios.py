@@ -265,6 +265,19 @@ def test_run_tirole_summary_only(tmp_path):
     assert res.summary["savings_residual"] < 1e-12
 
 
+def test_run_tirole_without_bubbly_steady_state(tmp_path):
+    # the bubble margin is below 1: only the fundamental steady state exists,
+    # so there is no bubbly savings identity to check
+    sc = one("[t]\nmodel = tirole\nbeta = 0.9\nalpha = 0.5\ndelta = 0.5\ntfp = 1\n")
+    res = run_scenario(sc, tmp_path)
+    assert res.summary == {
+        "model": "tirole",
+        "k_fundamental": pytest.approx(0.2025, rel=1e-12),
+        "r_fundamental": pytest.approx(1.61111111111, rel=1e-10),
+        "crowding": "none",
+    }
+
+
 def test_run_bewley_reports_nonexistence(tmp_path):
     sc = one(
         "[b]\nmodel = bewley\nbeta = 0.4\ngamma = 1.0\ngrowth = 1.0\n"

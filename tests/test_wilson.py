@@ -11,7 +11,6 @@ from bubblelab import (
     SeriesKind,
     WilsonParams,
     constant,
-    necessity_report,
     wilson_bubble_test,
     wilson_path,
 )
@@ -127,31 +126,6 @@ def test_zero_dividends_always_bubble():
     assert wilson_bubble_test(p).kind is SeriesKind.CONVERGENT
     path = wilson_path(p, horizon=5)
     assert np.allclose(path.rate[:-1], 1.0)
-
-
-def test_necessity_ordering():
-    rep = necessity_report(
-        beta=0.6, young_endow=3.0, old_endow=1.0,
-        endow_growth=1.05, dividend_growth=1.02,
-    )
-    # autarky rate (1-beta) b / (beta a) = 0.4/1.8
-    assert rep.fundamental_rate == pytest.approx(0.4 / 1.8, rel=1e-14)
-    assert rep.holds
-
-    # dividend growth at or above endowment growth breaks it
-    assert not necessity_report(0.6, 3.0, 1.0, 1.05, 1.05).holds
-    assert not necessity_report(0.6, 3.0, 1.0, 1.02, 1.05).holds
-    # autarky rate above dividend growth breaks it
-    assert not necessity_report(0.1, 1.0, 2.0, 1.5, 1.2).holds
-
-
-def test_necessity_validation():
-    with pytest.raises(ValueError):
-        necessity_report(1.0, 1.0, 1.0, 1.05, 1.02)
-    with pytest.raises(ValueError):
-        necessity_report(0.5, 1.0, 0.0, 1.05, 1.02)
-    with pytest.raises(ValueError):
-        necessity_report(0.5, 1.0, 1.0, 0.0, 1.02)
 
 
 def test_params_validation():
