@@ -6,12 +6,15 @@ instead of simulation error. The models share a common path container and
 a valuation layer that decomposes prices into discounted dividends plus a
 residual bubble component.
 
-Every name below is importable from the package, but a module is loaded
-only when one of its names (or the module itself) is first used, so a
-program pays start-up only for the models it runs.
+Every name below is importable from the package, which is the one loader
+of its modules: a module is handed out unexecuted and runs on its first
+attribute access (so a program pays start-up only for the models it
+runs), and an exported name is read from its module.
 """
 
-import importlib
+import importlib.util
+import sys
+from types import ModuleType
 
 # each module of the package and the names the package exports from it
 _EXPORTS = {
@@ -62,14 +65,26 @@ __all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
 
 
+def _module(name: str) -> ModuleType:
+    """The package's module ``name``, executed on its first attribute
+    access unless something has imported it already."""
+    full = f"{__name__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def __getattr__(name: str) -> object:
-    """Load a module of the package, or the module defining an exported
-    name, on first access; later lookups find it in the package globals."""
+    """Hand out a module of the package, or an exported name read from its
+    module, on first access; later lookups find it in the package globals."""
     if name in _EXPORTS:
-        value = importlib.import_module(f".{name}", __name__)
+        value = _module(name)
     elif name in _MODULE_OF:
-        module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
-        value = getattr(module, name)
+        value = getattr(_module(_MODULE_OF[name]), name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

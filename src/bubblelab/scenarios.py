@@ -30,43 +30,22 @@ into the output directory. Output is deterministic byte for byte.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
 import re
-import sys
-import types
 from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from . import barebones, csvio
+from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
 from .barebones import RegimeKind
 from .paths import EquilibriumPath
 from .recur import MIN_TERMS, UNIT_SLOPE_TOL
 from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
-
-
-def _lazy(name: str) -> types.ModuleType:
-    """The package's module ``name``, executed on its first attribute
-    access, so that a run loads only the models it runs."""
-    full = f"{__package__}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[full] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bewley, olg, tirole, valuation, wilson = map(
-    _lazy, ("bewley", "olg", "tirole", "valuation", "wilson")
-)
 
 
 class ScenarioError(ValueError):
@@ -213,7 +192,10 @@ def _sweep_values(raw: str, where: str) -> tuple[float, ...]:
         lo, hi, n = _call_args(m.group(2), where, 3)
         if n != int(n) or int(n) < 2:
             raise ScenarioError(f"{where}: linspace needs an integer count >= 2")
-        return tuple(np.linspace(lo, hi, int(n)).tolist())
+        try:
+            return tuple(np.linspace(lo, hi, int(n)).tolist())
+        except (ValueError, MemoryError):
+            raise ScenarioError(f"{where}: linspace count {int(n)} is too large") from None
     raise ScenarioError(
         f"{where}: expected linspace(lo, hi, n) or [v0, v1, ...], got {raw!r}"
     )
@@ -785,7 +767,7 @@ def _run_barebones_timevarying(p, o: dict) -> _ModelOutput:
 
 
 def _positional(
-    module: types.ModuleType, cls: str, *keys: str
+    module: ModuleType, cls: str, *keys: str
 ) -> Callable[[dict], object]:
     """A params builder passing the options under keys to module.cls, in
     order. The class is looked up per call, so that building the registry

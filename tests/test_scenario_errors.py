@@ -6,6 +6,7 @@ The expected strings are the whole message, so a refactor of the checker
 that changes a word, a line number or the order of its checks fails here.
 """
 
+import numpy as np
 import pytest
 
 from bubblelab import ScenarioError, parse_scenarios, run_scenario
@@ -290,6 +291,11 @@ CASES = [
         id="linspace_arguments",
     ),
     pytest.param(
+        SW.replace("[0.1, 0.7]", "linspace(0, 1, 1e20)"),
+        "t.ini:4: [g] values: linspace count 100000000000000000000 is too large",
+        id="linspace_count_beyond_numpy",
+    ),
+    pytest.param(
         SW.replace("[0.1, 0.7]", "[0.1, inf]"),
         "t.ini:4: [g] values: expected a finite number, got 'inf'",
         id="values_non_finite",
@@ -384,3 +390,16 @@ def test_swept_parameter_given_a_value_is_rejected(extra):
         "t.ini:10: [g] productivity: the swept parameter takes its points "
         "from the values key, not a value of its own"
     )
+
+
+def test_a_linspace_grid_memory_cannot_hold_is_a_parse_error(monkeypatch):
+    # numpy raises MemoryError when the grid fits its size limit but not in
+    # memory; a stand-in raises it without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(np, "linspace", out_of_memory)
+    text = SW.replace("[0.1, 0.7]", "linspace(0, 1, 1e10)")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenarios(text, source="t.ini")
+    assert str(exc.value) == "t.ini:4: [g] values: linspace count 10000000000 is too large"
