@@ -7,11 +7,17 @@ Subcommands:
 
 Exit status: 0 on success, 1 when a scenario fails to run, 2 for bad
 usage or unparseable scenario files.
+
+``entry`` is the process entry (the ``bubblelab`` script and
+``python -m bubblelab.cli``); ``main`` is the same run without its
+process-wide steps, for callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .barebones import ConstructionError
@@ -67,6 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         selected = [by_name[n] for n in args.names]
     else:
         selected = scenarios
+    stdout_open = True
     for sc in selected:
         try:
             result = run_scenario(
@@ -74,8 +81,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         except (RunError, ConstructionError, ValueError, ArithmeticError) as e:
             raise RunError(f"{args.file} [{sc.name}]: {e}") from e
-        for f in result.files:
-            print(f"wrote {f}")
+        if stdout_open:
+            try:
+                for f in result.files:
+                    print(f"wrote {f}")
+            except BrokenPipeError:
+                # the reader is gone: the rest of the run writes its files
+                # without saying so
+                stdout_open = False
     return 0
 
 
@@ -108,5 +121,28 @@ def main(argv: list[str] | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def entry() -> int:
+    """Run ``main`` as the whole process and return its exit status.
+
+    Whatever stdout still buffers is flushed here; a reader that has gone
+    away costs the run nothing, so the buffer is sent to the null device.
+    Then the heap is frozen: every output is closed by now, and the
+    interpreter's shutdown skips its collection over numpy's and the
+    package's import-time objects. atexit handlers, stream flushes and
+    profilers still run at exit as usual.
+    """
+    try:
+        return main()
+    finally:
+        try:
+            if sys.stdout is not None:   # None when the process has no fd 1
+                sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

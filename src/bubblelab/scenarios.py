@@ -413,9 +413,17 @@ def parse_scenarios(text: str, source: str = "<string>") -> list[Scenario]:
 def load_scenarios(path: str | Path) -> list[Scenario]:
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as e:
         raise ScenarioError(f"cannot read {p}: {e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line as the parser counts lines, with the bad byte on it
+        lineno = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        raise ScenarioError(
+            f"{p}:{lineno}: byte 0x{data[e.start]:02x} is not UTF-8 text"
+        ) from None
     return parse_scenarios(text, source=str(p))
 
 

@@ -9,7 +9,8 @@ that changes a word, a line number or the order of its checks fails here.
 import numpy as np
 import pytest
 
-from bubblelab import ScenarioError, parse_scenarios, run_scenario
+from bubblelab import ScenarioError, load_scenarios, parse_scenarios, run_scenario
+from bubblelab.cli import main
 
 BB = (
     "[g]\nmodel = barebones\npi = 0.1\nbeta = 0.95\ndelta = 0.08\n"
@@ -403,3 +404,15 @@ def test_a_linspace_grid_memory_cannot_hold_is_a_parse_error(monkeypatch):
     with pytest.raises(ScenarioError) as exc:
         parse_scenarios(text, source="t.ini")
     assert str(exc.value) == "t.ini:4: [g] values: linspace count 10000000000 is too large"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # a Latin-1 comment: the file is read as UTF-8 whatever the locale says
+    ini = tmp_path / "t.ini"
+    ini.write_bytes(BB.replace("[g]\n", "[g]\n# caf\xe9 prices\n").encode("latin-1"))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenarios(ini)
+    assert str(exc.value) == f"{ini}:2: byte 0xe9 is not UTF-8 text"
+    for argv in (["validate", str(ini)], ["run", str(ini), "--out-dir", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
