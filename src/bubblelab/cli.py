@@ -112,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list-models":
             print(list_models(), end="")
             return 0
+    except BrokenPipeError:
+        # stdout's reader is gone: validate and list-models stop printing;
+        # run catches its own and finishes every scenario
+        return 0
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

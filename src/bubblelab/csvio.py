@@ -9,40 +9,45 @@ How cells are made. A column's cells are rows of bytes in which a NUL byte
 is no text, and the last byte of every row is NUL, free for the separator.
 Float cells come from one vectorised kernel, ``_g12_lanes``, which gives
 ``"%.12g" % x`` of a whole float64 array as four little-endian uint64 lanes
-(32 bytes) per cell: lane 0 the sign and any ``0.000`` prefix, or the whole
-of ``0``, ``-0``, ``nan``, ``inf`` and ``-inf``; lanes 1 and 2 the twelve
-digits with the point placed and the trailing zeros dropped; lane 3 the
-exponent ``e+XXX``, when there is one. The twelve digits are ``rint(p)`` of
-the plain product ``p = fl(|x| * fl(10**(11 - e)))``, which two roundings put
-within 2.23e-4 of ``|x| * 10**(11 - e)`` below 1e12: where ``p`` lies farther
-than ``_TIE_WIDTH`` (2**-11) from a half, they are the digits of ``%.12g``.
-The kernel hands a cell to ``"%.12g" % x``, all such cells of a call in one
-batch, where it cannot decide: ``p`` within that window of a half (a possible
-tie, which ``%.12g`` rounds half to even; about 0.1% of cells), ``|x|`` below
-1e-290 or above 1e300 (beyond its powers of ten), and a mantissa still out of
-range after the one correction of the exponent. Integer columns within
-±1e12, where ``%.12g`` is ``str``, and lists of floats take the same kernel;
-booleans, text (quoted where needed) and other integers become byte rows of
-their own. A NUL inside a text cell is written as 0xFF, a byte UTF-8 never
-uses, and turned back once the NULs are dropped.
+(32 bytes) per cell, packed so that the cells of a column share a narrow
+span of bytes: bytes 0 to 7 (lane 0) the sign and any ``0.000`` prefix, or
+the whole of ``0``, ``-0``, ``nan``, ``inf`` and ``-inf``, right-aligned to
+end at byte 7; bytes 8 to 20 the twelve digits with the point placed and the
+trailing zeros dropped; from byte 21, straight after them, the exponent
+``e+XX`` or ``e+XXX`` when there is one. The twelve digits are ``rint(p)``
+of the plain product ``p = fl(|x| * fl(10**(11 - e)))``, which two roundings
+put within 2.23e-4 of ``|x| * 10**(11 - e)`` below 1e12: where ``p`` lies
+farther than ``_TIE_WIDTH`` (2**-11) from a half, they are the digits of
+``%.12g``. Where the kernel cannot decide, it takes the digits and the
+exponent from ``"%.11e" % x``, all such cells of a call in one batch, and
+lays them out like every other cell, so a handed-back cell does not widen
+its column: ``p`` within that window of a half (a possible tie, which both
+formats round half to even; about 0.1% of cells), ``|x|`` below 1e-290 or
+above 1e300 (beyond its powers of ten, down to the subnormals' ``e-324``),
+and a mantissa still out of range after the one correction of the exponent.
+Integer columns within ±1e12, where ``%.12g`` is ``str``, and lists of
+floats take the same kernel; booleans, text (quoted where needed) and other
+integers become byte rows of their own. A NUL inside a text cell is written
+as 0xFF, a byte UTF-8 never uses, and turned back once the NULs are dropped.
 
-One block writer, ``_write_blocks``, takes ``BLOCK_ROWS`` rows of every
-column at a time. ``_block_cells`` formats the float cells of all of its
-columns together, once per run of equal bit patterns (a run never crosses
-from one column into the next) and at most ``CHUNK_CELLS`` cells per kernel
-call, and keeps of each float column only the bytes its cells use: a
-column with no two equal neighbours is a view of the kernel's rows, and
-only a column with runs copies its rows out to one per cell.
-``render_csv`` lays the columns side by side, puts the separators into the
-free bytes, drops the NULs and decodes the text, which is written out
-before the next block, so a run holds one block of text however long the
-file. A path CSV has one row per period, its ``V`` and ``bubble`` cells
-blank (NUL rows) past the end of their arrays; a table stops at its
-shortest column. ``write_csv`` and ``write_table_csv`` write into an open
-text file, ``emit_csv`` and ``emit_table_csv`` into a buffer whose text they
-return. Each of the four calls ``_write_blocks`` itself rather than through
-another, so in a traced run the formatting is the self time of the function
-that was called.
+One block writer, ``_write_blocks``, takes at most ``BLOCK_ROWS`` rows of
+every column at a time, and ends a block where a column shorter than the
+file ends, so that a column has all of a block's rows or none; a column with
+none is a blank one byte wide. ``_block_cells`` formats the float cells of
+all of its columns together, once per run of equal bit patterns (a run never
+crosses from one column into the next) and at most ``CHUNK_CELLS`` cells per
+kernel call, and keeps of each float column only the bytes its cells use: a
+column with no two equal neighbours is a view of the kernel's rows, and only
+a column with runs copies its rows out to one per cell. ``render_csv`` lays
+the columns side by side, puts the separators into the free bytes, drops the
+NULs and decodes the text, which is written out before the next block, so a
+run holds one block of text however long the file. A path CSV has one row
+per period, its ``V`` and ``bubble`` cells blank past the end of their
+arrays; a table stops at its shortest column. ``write_csv`` and
+``write_table_csv`` write into an open text file, ``emit_csv`` and
+``emit_table_csv`` into a buffer whose text they return. Each of the four
+calls ``_write_blocks`` itself rather than through another, so in a traced
+run the formatting is the self time of the function that was called.
 """
 
 from __future__ import annotations
@@ -67,13 +72,14 @@ BLOCK_ROWS = 4096
 CHUNK_CELLS = 8192   # float cells per kernel call, which bounds its temporaries
 
 _format_g12 = "%.12g".__mod__
+_format_e11 = "%.11e".__mod__
 
 _KERNEL_RANGE = (1e-290, 1e300)
 # p = fl(a * fl(10**k)) takes two roundings of relative error u = 2**-53 each,
 # so |p - a * 10**k| <= (2u + u**2) * a * 10**k < 2.23e-4 while a * 10**k < 1e12;
 # a p farther than twice that from a half rounds as a * 10**k does
 _TIE_WIDTH = 2.0**-11
-_EXP_OFF = 310                # exponent e of x at index e + _EXP_OFF of the tables
+_EXP_OFF = 330                # exponent e of x at index e + _EXP_OFF of the tables
 _EXP_SIZE = 2 * _EXP_OFF + 1
 # lane 0 by index: sign * 5 + prefix length code, then the special values
 _LANE0 = ("", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000",
@@ -120,10 +126,11 @@ def _tables() -> SimpleNamespace:
         quad=quad.astype(np.uint64),
         trailing=trailing,
         masks=masks,
-        lane0=_lanes_of([s.encode() for s in _LANE0]),
+        lane0=_lanes_of([s.encode().rjust(8, b"\0") for s in _LANE0]),
         point=np.where(fixed, np.where(e >= 0, e + 1, 0), 1) * 13,
         prefix=np.where(fixed & (e < 0), -e, 0),
-        exp=_lanes_of(exp),
+        exp_hi=_lanes_of(exp) << 40,   # bytes 21-23, after the digits
+        exp_lo=_lanes_of(exp) >> 24,   # bytes 24-25
         bools=np.array([b"false", b"true"], dtype="S6").view(np.uint8).reshape(2, 6),
         pow10=np.array([_pow10(k) if -290 <= k <= 302 else 0.0 for k in (11 - e).tolist()]),
     )
@@ -153,8 +160,13 @@ def _g12_lanes(x: np.ndarray) -> np.ndarray:
         e[redo] += np.where(m[redo] >= 1e12, 1, -1)
         m[redo], near = _mantissa(tab, a[redo], e[redo])
         tie[redo] |= near     # a first pass near a half may have chosen e wrongly
-    bad = (m < 1e11) | (m >= 1e12)
-    m[bad] = 1e11
+    special = ~np.isfinite(x) | (x == 0)
+    slow = np.flatnonzero(~(fast | special) | tie | (m < 1e11) | (m >= 1e12))
+    if slow.size:
+        # the digits and exponent %.12g rounds to, correctly, as %.11e has them
+        texts = [t.lstrip("-") for t in map(_format_e11, x[slow].tolist())]
+        m[slow] = [int(t[0] + t[2:13]) for t in texts]
+        e[slow] = [int(t[14:]) for t in texts]
     e += _EXP_OFF
 
     g0, rest = np.divmod(m.astype(np.int64), 100_000_000)
@@ -167,22 +179,17 @@ def _g12_lanes(x: np.ndarray) -> np.ndarray:
     out = np.empty((x.size, 4), np.uint64)
     out[:, 0] = tab.lane0[sign * 5 + tab.prefix[e]]
     out[:, 1] = (d1 & masks[:, 0]) | ((d1 << 8) & masks[:, 2]) | masks[:, 4]
-    out[:, 2] = (d2 & masks[:, 1]) | (((d2 << 8) | (d1 >> 56)) & masks[:, 3]) | masks[:, 5]
-    out[:, 3] = tab.exp[e]
+    d2 = (d2 & masks[:, 1]) | (((d2 << 8) | (d1 >> 56)) & masks[:, 3]) | masks[:, 5]
+    out[:, 2] = d2 | tab.exp_hi[e]
+    out[:, 3] = tab.exp_lo[e]
 
-    special = ~np.isfinite(x) | (x == 0)
     if special.any():
         at = np.flatnonzero(special)
         s = x[at]
         out[at] = 0
         kind = np.where(np.isnan(s), _NAN, np.where(s == 0, _ZERO, _INF) + sign[at])
         out[at, 0] = tab.lane0[kind]
-    out = out.astype("<u8", copy=False)
-    slow = np.flatnonzero(~(fast | special) | tie | bad)
-    if slow.size:
-        texts = list(map(_format_g12, x[slow].tolist()))
-        out[slow] = np.array(texts, dtype="S32").view("<u8").reshape(slow.size, 4)
-    return out
+    return out.astype("<u8", copy=False)
 
 
 def _runs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,15 +281,14 @@ def _block_cells(
 ) -> list[np.ndarray]:
     """The cells of rows ``start`` to ``stop`` of every column as uint8
     byte rows, the float cells of all columns formatted together; a column
-    that ends before ``stop`` gets NUL rows, which are blank cells."""
+    that has ended by ``start`` is one NUL byte a row, a blank cell."""
     parts = [col[start:stop] for col in columns]
     floats = [_floats(part) for part in parts]
     lanes = iter(_float_lanes([f for f in floats if f is not None]))
     block = []
     for part, values in zip(parts, floats):
         cells = _text_cells(part) if values is None else next(lanes)
-        blank = np.zeros((stop - start - len(cells), cells.shape[1]), np.uint8)
-        block.append(np.vstack((cells, blank)) if len(blank) else cells)
+        block.append(cells if len(cells) else np.zeros((stop - start, 1), np.uint8))
     return block
 
 
@@ -324,12 +330,14 @@ def _format_value(v: object) -> str:
 def _write_blocks(
     out: TextIO, header: list[str], columns: list[list[object] | np.ndarray], n: int
 ) -> None:
-    """Write the first ``n`` rows of ``columns`` to ``out``, ``BLOCK_ROWS``
-    rows at a time, the header with the first block (the only one when
-    ``n`` is 0). A column that ends before row ``n`` gets blank cells."""
+    """Write the first ``n`` rows of ``columns`` to ``out``, at most
+    ``BLOCK_ROWS`` rows at a time, the header with the first block (the only
+    one when ``n`` is 0). A column that ends before row ``n`` ends a block
+    there too, and gets blank cells after it."""
+    ends = (len(col) for col in columns if len(col) < n)
+    edges = sorted({*range(0, max(n, 1), BLOCK_ROWS), *ends})
     head = header
-    for start in range(0, max(n, 1), BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    for start, stop in zip(edges, edges[1:] + [n]):
         out.write(render_csv(head, _block_cells(columns, start, stop)))
         head = None
 

@@ -158,6 +158,31 @@ def test_a_run_whose_reader_is_gone_writes_every_file(tmp_path, unbuffered):
     assert _hashes(tmp_path) == FIGURE_HASHES
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "list-models"])
+def test_a_report_whose_reader_is_gone_exits_0(tmp_path, command, unbuffered):
+    # 400 sections make validate print more than one stdout buffer, so the
+    # closed pipe meets a print inside main, buffered or not
+    args = [command]
+    if command == "validate":
+        ini = tmp_path / "many.ini"
+        ini.write_text("".join(
+            f"[s{i}]\nmodel = samuelson\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\n\n"
+            for i in range(400)
+        ))
+        args.append(str(ini))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bubblelab.cli", *args],
+            cwd=ROOT, env=_env(unbuffered), stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 def test_the_figures_run_under_dev_mode_and_warnings_as_errors(tmp_path):
     # dev mode reports any file left open, so every output is closed before
     # the entry freezes the heap

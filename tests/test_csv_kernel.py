@@ -8,7 +8,9 @@ ten, the switches between fixed and exponent notation, signed zeros, the
 extremes), and one case for each branch that hands a cell back to the
 per-cell formatter. Two more hold the hand-back window to the error of the
 kernel's product, computed in exact fractions, and the share of cells handed
-back to 0.2%. Every draw comes from a fixed seed."""
+back to 0.2%. And two hold the packed layout: a handed-back cell keeps
+to its column's bytes, and the blocks of stress-horizon path CSVs carry few
+empty bytes. Every draw comes from a fixed seed."""
 
 import math
 import random
@@ -99,14 +101,15 @@ def test_integers_below_1e12_are_their_str():
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The values the kernel hands to the per-cell formatter."""
+    """The values the kernel hands to the per-cell formatter, which gives
+    their digits and exponent as ``%.11e``."""
     seen = []
 
     def recording(x):
         seen.append(x)
-        return "%.12g" % x
+        return "%.11e" % x
 
-    monkeypatch.setattr(csvio, "_format_g12", recording)
+    monkeypatch.setattr(csvio, "_format_e11", recording)
     return seen
 
 
@@ -171,6 +174,21 @@ def test_a_mantissa_out_of_range_after_the_correction_falls_back(fallbacks, monk
     assert fallbacks == x.tolist()
 
 
+def test_a_handed_back_cell_does_not_widen_its_column(fallbacks):
+    # the per-cell formatter gives only the digits and the exponent, which
+    # the kernel lays out as its own, so a tie keeps to the column's bytes
+    x = 10.0 ** np.random.default_rng(8).uniform(13.0, 200.0, 2000)
+    tie = np.array([1234567890125.0])
+
+    def span(v):
+        used = (csvio._g12_lanes(v).view(np.uint8) != 0).any(axis=0)
+        return np.flatnonzero(used)[[0, -1]].tolist()
+
+    assert span(np.concatenate([x, tie])) == span(x)
+    assert 1234567890125.0 in fallbacks
+    assert_matches_g12(np.concatenate([x, tie]))
+
+
 @pytest.fixture
 def kernel_cells(monkeypatch):
     """The number of cells given to the kernel."""
@@ -233,3 +251,23 @@ def test_few_cells_are_handed_back(fallbacks, kernel_cells):
     write_stress_paths(seed=1)
     assert kernel_cells[0] > 100_000
     assert len(fallbacks) <= 0.002 * kernel_cells[0]
+
+
+def test_path_blocks_carry_few_empty_bytes(monkeypatch):
+    # the kernel's rows put each cell's text together and a block ends where
+    # a column does, so beside the free byte of every cell a block's NULs
+    # are only the padding of cells shorter than their column
+    size = empty = 0
+    render = csvio.render_csv
+
+    def counting(header, columns):
+        nonlocal size, empty
+        for cells in columns:
+            size += cells.size
+            empty += np.count_nonzero(cells[:, :-1] == 0)
+        return render(header, columns)
+
+    monkeypatch.setattr(csvio, "render_csv", counting)
+    write_stress_paths(seed=1)
+    assert size > 1_000_000
+    assert empty <= 0.1 * size
