@@ -39,9 +39,8 @@ _EXPORTS = {
     ),
     "paths": ("EquilibriumPath", "gross_rates"),
     "recur": (
-        "AffineRecurrence", "LimitClass", "LimitKind", "SeriesClass",
-        "SeriesKind", "classify_limit", "classify_series",
-        "classify_series_exact", "iterate_affine", "solve_affine",
+        "AffineRecurrence", "SeriesClass", "SeriesKind", "classify_series",
+        "classify_series_exact", "iterate_affine", "solve_affine", "yield_test",
     ),
     "scenarios": (
         "RunError", "RunResult", "Scenario", "ScenarioError", "list_models",

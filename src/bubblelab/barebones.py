@@ -38,7 +38,8 @@ equation, followed by full investment forever.
 The time-varying extension drives (A_t, D_t) as sequences; the price-rent
 ratio then follows an affine recurrence with slope
 beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t), G_t the rent growth factor,
-and the bubble verdict is a liminf test on that slope.
+and the bubble verdict is the yield sum's, exact from that slope's limit
+when the sequences are generators.
 
 ``classify_regime`` reports R < G_d < G as ``recur.NecessityTriple``
 (re-exported here): R is the balanced rate, G_d = 1 as rents are constant,
@@ -56,8 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import UNIT_SLOPE_TOL, AffineRecurrence, NecessityTriple, affine_path
-from .sequences import Sequence, constant
+from .recur import UNIT_SLOPE_TOL, AffineRecurrence, NecessityTriple, SeriesClass
+from .recur import SeriesKind, affine_path, yield_test
+from .sequences import Sequence, constant, tail_asymptotics
 
 
 class FeasibilityError(ValueError):
@@ -540,8 +542,33 @@ def simulate_regime_switch(
 class TimeVaryingResult(NamedTuple):
     path: EquilibriumPath
     slope_ratio: np.ndarray     # price-rent map slope each period (t >= 1)
-    bubble: bool                # liminf of the slope over the tail exceeds 1
+    series: SeriesClass         # the yield sum's verdict
     violations: tuple[int, ...]  # periods where land outran capital
+
+    @property
+    def bubble(self) -> bool:
+        return self.series.kind is SeriesKind.CONVERGENT
+
+
+def _yield_tail(
+    p: BareBonesParams, a_seq: Sequence, d_seq: Sequence
+) -> tuple[float, float] | None:
+    """The exact tail (ratio, power) of the yields D_t / P_t, from the limit
+    slope L = beta pi (A_inf+1-delta) / ((1-beta+beta pi) G_inf) of the
+    price-rent map; None where only the path can tell: an explicit
+    sequence, or L within the unit tolerance of 1 on a slope that moves."""
+    tails = tail_asymptotics(a_seq), tail_asymptotics(d_seq)
+    if None in tails:
+        return None
+    (ra, ka), (rd, kd) = tails
+    if ra > 1.0 or (ra == 1.0 and ka > 0.0):
+        return 0.0, 0.0   # A_t grows: P_t / D_t outgrows every geometric rate
+    a_inf = a_seq.scale if (ra, ka) == (1.0, 0.0) else 0.0
+    slope = p.beta * p.pi * (a_inf + 1.0 - p.delta) / (_savings_split(p) * rd)
+    if abs(slope - 1.0) <= UNIT_SLOPE_TOL:
+        # a constant unit slope grows P_t / D_t linearly: yields ~ 1/t
+        return (1.0, -1.0) if (ra, ka, kd) == (1.0, 0.0, 0.0) else None
+    return (1.0 / slope, 0.0) if slope > 1.0 else (1.0, 0.0)
 
 
 def simulate_timevarying(
@@ -562,12 +589,13 @@ def simulate_timevarying(
     ``simulate_forward``, so with constant sequences the path equals
     ``simulate_forward``'s bit for bit.
 
-    The bubble verdict compares the price-rent map slope
-    beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t) with 1 over the final
-    tenth of the horizon (a liminf surrogate): a bubble needs the minimum
-    to exceed 1 by more than the unit tolerance, the boundary
-    ``classify_regime`` draws, so a slope that steps as exactly 1 is no
-    bubble.
+    The bubble verdict is ``recur.yield_test`` on the yields D_t / P_t.
+    With generator sequences it is exact, from the limit L of the price-rent
+    map slope beta pi (A_t+1-delta) / ((1-beta+beta pi) G_t): growing A_t
+    or L > 1 is a bubble, L < 1 is none, and a constant slope within the
+    unit tolerance of 1 is the boundary ``classify_regime`` draws, no
+    bubble. Explicit sequences, and a slope that only tends to 1, are
+    judged on the path's own yields.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -593,11 +621,10 @@ def simulate_timevarying(
     growth = d[1:] / d[:-1]
     split = _savings_split(p)
     slope_ratio = p.beta * p.pi * (a[1:] + 1.0 - p.delta) / (split * growth)
-    m = max(10, slope_ratio.size // 10)
     return TimeVaryingResult(
         path=path,
         slope_ratio=slope_ratio,
-        bubble=bool(np.min(slope_ratio[-m:]) > 1.0 + UNIT_SLOPE_TOL),
+        series=yield_test(d[1:] / path.price[1:], _yield_tail(p, a_seq, d_seq)),
         violations=tuple(violations),
     )
 

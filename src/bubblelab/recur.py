@@ -1,4 +1,4 @@
-"""First-order affine recurrences and convergence classification.
+"""First-order affine recurrences and the yield-sum bubble criterion.
 
 Every model in this package eventually reduces to iterating
 
@@ -6,13 +6,14 @@ Every model in this package eventually reduces to iterating
 
 in some transformed variable: inverse prices, wealth levels, price-rent
 ratios. This module holds that recurrence once: ``affine_path`` is the one
-kernel that steps it, and ``solve_affine`` its closed form. Beside them sit
-the two classifiers the models share:
+kernel that steps it, and ``solve_affine`` its closed form.
 
-* ``classify_limit`` -- the long-run behaviour of the recurrence itself
-  (converges, drifts linearly, or explodes geometrically), and
-* ``classify_series`` -- a finite-horizon verdict on whether a nonnegative
-  series sums, used by the bubble detectors on dividend-yield terms.
+Beside them sits the one bubble criterion the models share: a price with
+positive dividends carries a bubble iff the dividend yields sum,
+sum D_t / P_t < infinity (Montrucchio, Economic Theory 2004).
+``yield_test`` gives every such verdict: exactly (``classify_series_exact``)
+when the yields' tail is known in closed form, otherwise from the terms
+themselves (``classify_series``).
 
 ``NecessityTriple`` is the one record of the Bubble Necessity Theorem's
 ordering R < G_d < G (fundamental rate, dividend growth, economy growth)
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, repeat
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,46 +122,6 @@ def iterate_affine(rec: AffineRecurrence, horizon: int) -> np.ndarray:
     return affine_path(slope, rec.drift, rec.initial, horizon)
 
 
-class LimitKind(str, Enum):
-    CONVERGES_TO = "converges_to"
-    CONVERGES_TO_ZERO = "converges_to_zero"
-    LINEAR_DIVERGENCE = "linear_divergence"
-    EXPONENTIAL_DIVERGENCE = "exponential_divergence"
-
-
-class LimitClass(NamedTuple):
-    """Long-run tag plus its datum: the limit for the convergent kinds, the
-    per-period increment for linear divergence, the slope for exponential."""
-
-    kind: LimitKind
-    value: float
-
-    @property
-    def convergent(self) -> bool:
-        return self.kind in (LimitKind.CONVERGES_TO, LimitKind.CONVERGES_TO_ZERO)
-
-
-def _converges(value: float) -> LimitClass:
-    if value == 0.0:
-        return LimitClass(LimitKind.CONVERGES_TO_ZERO, 0.0)
-    return LimitClass(LimitKind.CONVERGES_TO, value)
-
-
-def classify_limit(rec: AffineRecurrence) -> LimitClass:
-    """Classify lim x_t. Total over slope >= 0; boundary slope 1 included."""
-    if rec.unit_slope:
-        if rec.drift == 0.0:
-            return _converges(rec.initial)
-        return LimitClass(LimitKind.LINEAR_DIVERGENCE, rec.drift)
-    fp = rec.drift / (1.0 - rec.slope)
-    if rec.slope < 1.0:
-        return _converges(fp)
-    # slope > 1: exactly at the fixed point the path is constant
-    if rec.initial == fp:
-        return _converges(fp)
-    return LimitClass(LimitKind.EXPONENTIAL_DIVERGENCE, rec.slope)
-
-
 MIN_TERMS = 100   # the fewest terms ``classify_series`` decides from
 
 
@@ -239,6 +200,24 @@ def classify_series_exact(ratio: float, power: float = 0.0) -> SeriesClass:
     if power < -1.0:
         return SeriesClass(SeriesKind.CONVERGENT, 1.0)
     return SeriesClass(SeriesKind.DIVERGENT, 1.0)
+
+
+def yield_test(
+    terms: np.ndarray | Sequence[float], tail: tuple[float, float] | None = None
+) -> SeriesClass:
+    """Whether the dividend yields D_t / P_t sum: Convergent means the price
+    carries a bubble, Divergent that it is all fundamental.
+
+    A known tail ``(ratio, power)``, yields ~ C * ratio^t * t^power, gives
+    the exact verdict and ``terms`` are not read. Otherwise the verdict is
+    ``classify_series`` on all the ``terms`` given, and fewer than
+    MIN_TERMS of them are Inconclusive.
+    """
+    if tail is not None:
+        return classify_series_exact(*tail)
+    if len(terms) < MIN_TERMS:
+        return SeriesClass(SeriesKind.INCONCLUSIVE, math.nan)
+    return classify_series(terms, horizon=len(terms))
 
 
 class NecessityTriple(NamedTuple):

@@ -763,6 +763,7 @@ def _run_barebones_timevarying(p, o: dict) -> _ModelOutput:
         require_feasible=o["require_feasible"],
     )
     summary = {
+        "yield_series": res.series.kind.value,
         "has_bubble": res.bubble,
         "final_slope_ratio": float(res.slope_ratio[-1]),
         "arbitrage_violations": len(res.violations),

@@ -99,9 +99,10 @@ def always_positive(seq: Sequence) -> bool:
 
 def tail_asymptotics(seq: Sequence) -> tuple[float, float] | None:
     """(geometric ratio, polynomial power) of the tail, or None if unknown
-    (explicit sequences carry no asymptotics)."""
-    if isinstance(seq, GeometricSeq):
-        return seq.ratio, 0.0
-    if isinstance(seq, PolynomialSeq):
-        return 1.0, seq.power
-    return None
+    (explicit sequences carry no asymptotics). A zero scale gives (0, 0):
+    the sequence is identically zero whatever its ratio or power."""
+    if isinstance(seq, ExplicitSeq):
+        return None
+    if seq.scale == 0.0:
+        return 0.0, 0.0
+    return (seq.ratio, 0.0) if isinstance(seq, GeometricSeq) else (1.0, seq.power)

@@ -37,11 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import SeriesClass, SeriesKind, classify_series
+from .recur import SeriesClass, SeriesKind, yield_test
 
 BUBBLY = "bubbly"
 FUNDAMENTAL = "fundamental"
 INCONCLUSIVE = "inconclusive"
+_VERDICTS = {SeriesKind.CONVERGENT: BUBBLY, SeriesKind.DIVERGENT: FUNDAMENTAL}
 
 _RATE_SPREAD_TOL = 1e-6    # tail rates must be this flat to extrapolate
 _BOUND_MULTIPLE = 3.0      # bubble must clear this many tail bounds
@@ -261,17 +262,10 @@ class YieldDetection(NamedTuple):
 
 def detect_bubble(path: EquilibriumPath) -> YieldDetection:
     """Bubble test via the dividend-yield series: sum_{t>=1} D_t / P_t
-    converges iff the price carries a bubble. Maps Convergent -> bubbly,
-    Divergent -> fundamental, otherwise inconclusive."""
+    converges iff the price carries a bubble (``recur.yield_test`` on the
+    path's yields; fewer than ``recur.MIN_TERMS`` are inconclusive)."""
     if np.any(path.price <= 0.0):
         raise ValueError("the yield test requires strictly positive prices")
     _require_finite("price", path.price)
-    terms = path.dividend[1:] / path.price[1:]
-    series = classify_series(terms, horizon=max(100, terms.size))
-    if series.kind is SeriesKind.CONVERGENT:
-        verdict = BUBBLY
-    elif series.kind is SeriesKind.DIVERGENT:
-        verdict = FUNDAMENTAL
-    else:
-        verdict = INCONCLUSIVE
-    return YieldDetection(series=series, verdict=verdict)
+    series = yield_test(path.dividend[1:] / path.price[1:])
+    return YieldDetection(series, _VERDICTS.get(series.kind, INCONCLUSIVE))

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import MIN_TERMS, SeriesClass, SeriesKind
-from .recur import classify_series, classify_series_exact
+from .recur import SeriesClass, yield_test
 from .sequences import ExplicitSeq, Sequence, always_positive, tail_asymptotics
 
 
@@ -56,30 +55,26 @@ def wilson_path(p: WilsonParams, horizon: int) -> EquilibriumPath:
 def _identically_zero(seq: Sequence) -> bool:
     if isinstance(seq, ExplicitSeq):
         return all(v == 0.0 for v in seq.entries)
-    # generator forms vanish everywhere iff the scale does
-    return seq.values(1)[0] == 0.0
+    return tail_asymptotics(seq) == (0.0, 0.0)
 
 
 def wilson_bubble_test(p: WilsonParams, horizon: int = 10_000) -> SeriesClass:
-    """Classify sum D_t / a_t: Convergent means the price P_t = beta * a_t
-    strictly exceeds the fundamental (a bubble), Divergent means the price
-    is all fundamental.
+    """Classify sum D_t / a_t with ``recur.yield_test``: Convergent means the
+    price P_t = beta * a_t strictly exceeds the fundamental (a bubble),
+    Divergent means the price is all fundamental.
 
-    When both sequences expose exact tail asymptotics the verdict is exact;
-    otherwise it is the finite-sample classifier on the first ``horizon``
-    terms (explicit sequences are classified over the terms they have).
+    Two generator sequences give the exact tail of D_t / a_t and need no
+    terms. With an explicit sequence the terms are the first ``horizon``
+    ones, or as many as the explicit sequences have; fewer than
+    ``recur.MIN_TERMS`` are Inconclusive.
     """
+    seqs = (p.dividend, p.young_endow)
+    lengths = [len(s.entries) for s in seqs if isinstance(s, ExplicitSeq)]
+    tail = None
     if _identically_zero(p.dividend):
-        # pure-bubble asset: the fundamental is zero, the sum trivially finite
-        return SeriesClass(kind=SeriesKind.CONVERGENT, tail_ratio=0.0)
-    asym_d = tail_asymptotics(p.dividend)
-    asym_a = tail_asymptotics(p.young_endow)
-    if asym_d is not None and asym_a is not None:
-        (rd, kd), (ra, ka) = asym_d, asym_a
-        return classify_series_exact(ratio=rd / ra, power=kd - ka)
-    n = horizon
-    for seq in (p.dividend, p.young_endow):
-        if isinstance(seq, ExplicitSeq):
-            n = min(n, len(seq.entries))
-    terms = p.dividend.values(n) / p.young_endow.values(n)
-    return classify_series(terms, horizon=max(n, MIN_TERMS))
+        tail = 0.0, 0.0   # a pure-bubble asset: the sum is trivially finite
+    elif not lengths:
+        (rd, kd), (ra, ka) = map(tail_asymptotics, seqs)
+        tail = rd / ra, kd - ka
+    n = 0 if tail is not None else min(horizon, *lengths)
+    return yield_test(p.dividend.values(n) / p.young_endow.values(n), tail)

@@ -23,11 +23,15 @@ from bubblelab import (
     ExplicitSeq,
     FeasibilityError,
     GeometricSeq,
+    PolynomialSeq,
     RegimeKind,
+    SeriesKind,
     balanced_rate,
     capital_return,
     classify_regime,
+    constant,
     construct_equilibrium,
+    detect_bubble,
     longrun_rate,
     min_wealth,
     price_drift,
@@ -514,6 +518,72 @@ def test_timevarying_productivity_sequence():
     assert res.slope_ratio[0] == pytest.approx(RHO_HIGH, rel=1e-13)
     assert res.slope_ratio[-1] == pytest.approx(RHO_LOW, rel=1e-13)
     assert res.path.price[-1] == pytest.approx(FP_PRICE, rel=1e-6)
+
+
+# the price-rent slope once A_t has vanished: beta pi (1-delta) / (1-beta+beta pi)
+SLOPE_NO_A = 437 / 725
+
+
+def test_timevarying_verdict_follows_the_limit_slope():
+    # A_t = 0.5 (1+t)^0.01 grows without bound, so the slope does and the
+    # path is bubbly, though at t = 500 the slope still reads 0.951
+    grow = simulate_timevarying(
+        cp(0.7), w0=50.0, horizon=500, productivity=PolynomialSeq(0.5, 0.01)
+    )
+    assert grow.slope_ratio[-1] == pytest.approx(0.951, abs=5e-4)
+    assert grow.bubble is True
+    assert grow.series == (SeriesKind.CONVERGENT, 0.0)
+    # A_t = 0.7 (1+t)^-0.01 fades: the slope tends to SLOPE_NO_A < 1 and
+    # the yields to a constant, no bubble, though at t = 500 it reads 1.034
+    fade = simulate_timevarying(
+        cp(0.7), w0=50.0, horizon=500, productivity=PolynomialSeq(0.7, -0.01)
+    )
+    assert fade.slope_ratio[-1] == pytest.approx(1.034, abs=5e-4)
+    assert fade.bubble is False
+    assert fade.series == (SeriesKind.DIVERGENT, 1.0)
+    # a growing rent divides the limit slope: yields decay at 1/L
+    g = GeometricSeq(1.0, 1.02)
+    res = simulate_timevarying(cp(0.7), w0=50.0, horizon=50, rent=g)
+    assert res.series.tail_ratio == pytest.approx(1.02 / RHO_HIGH, rel=1e-14)
+
+
+def test_timevarying_zero_productivity_generator_is_not_growing():
+    # GeometricSeq(0, 1.5) is identically zero: the slope is SLOPE_NO_A
+    # every period, and the yields are constant
+    res = simulate_timevarying(
+        cp(0.7), w0=50.0, horizon=300, productivity=GeometricSeq(0.0, 1.5),
+        require_feasible=False,
+    )
+    assert res.slope_ratio[-1] == pytest.approx(SLOPE_NO_A, rel=1e-13)
+    assert res.bubble is False
+    assert detect_bubble(res.path).verdict == "fundamental"
+
+
+def test_timevarying_exact_verdict_is_the_paths_own():
+    """Away from the unit slope, the exact verdict from the sequences'
+    tails is the one ``detect_bubble`` reads off a long path: constant,
+    fading and growing productivity under constant, growing, shrinking and
+    polynomial rents, across both sides of acceptance test 11's boundary
+    (0.61 and 0.65 at rent growth 1.02)."""
+    rents = (
+        constant(1.0), GeometricSeq(1.0, 1.02), GeometricSeq(1.0, 0.99),
+        PolynomialSeq(1.0, 0.5),
+    )
+    verdicts = set()
+    for a in (0.4, 0.5, 0.61, 0.65, 0.7, 0.8):
+        prods = (
+            constant(a), GeometricSeq(a, 0.995), GeometricSeq(a, 1.001),
+            PolynomialSeq(a, -0.5),
+        )
+        for rent in rents:
+            for prod in prods:
+                res = simulate_timevarying(
+                    cp(a), 40.0, 1200, prod, rent, require_feasible=False
+                )
+                det = detect_bubble(res.path)
+                assert det.series.kind is res.series.kind, (a, rent, prod)
+                verdicts.add(det.verdict)
+    assert verdicts == {"bubbly", "fundamental"}
 
 
 def test_timevarying_threshold_formula():

@@ -37,14 +37,14 @@ EXPORTS = (
     "AffineRecurrence", "BareBonesParams", "BewleyEquilibrium",
     "BewleyParams", "BubbleReport", "ConstructedEquilibrium",
     "ConstructionError", "EquilibriumPath", "ExplicitSeq",
-    "FeasibilityError", "GeometricSeq", "LimitClass", "LimitKind",
-    "PolynomialSeq", "Regime", "RegimeKind", "RunError", "RunResult",
+    "FeasibilityError", "GeometricSeq", "PolynomialSeq", "Regime",
+    "RegimeKind", "RunError", "RunResult",
     "SamuelsonParams", "Scenario", "ScenarioError", "SeriesClass",
     "SeriesKind", "SteadyState", "Thresholds", "TimeVaryingResult",
     "TiroleParams", "TiroleSteadyStates", "WeilParams", "WilsonParams",
     "autarky_rate", "balanced_rate", "bewley_path", "bewley_price",
-    "bewley_validate", "capital_return", "classify_limit",
-    "classify_regime", "classify_series", "classify_series_exact",
+    "bewley_validate", "capital_return", "classify_regime",
+    "classify_series", "classify_series_exact",
     "constant", "construct_equilibrium", "crossover_pi", "detect_bubble",
     "discount_factors", "fundamental_value", "gross_rates",
     "iterate_affine", "list_models", "load_scenarios", "longrun_rate",
@@ -58,6 +58,7 @@ EXPORTS = (
     "timevarying_threshold", "tirole_crowdin_steady", "tirole_steady",
     "truncation_identity_residuals", "weil_sample_path",
     "weil_stationary_price", "wilson_bubble_test", "wilson_path",
+    "yield_test",
 )
 
 RECORDS = (
@@ -69,7 +70,6 @@ RECORDS = (
     barebones.TimeVaryingResult,
     bewley.BewleyEquilibrium,
     olg.SamuelsonEquilibria,
-    recur.LimitClass,
     recur.SeriesClass,
     tirole.BubblySteady,
     tirole.TiroleSteadyStates,

@@ -1,6 +1,8 @@
-"""Affine recurrence closed forms and limit/series classification."""
+"""Affine recurrence closed forms, series classification and the yield test."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +10,14 @@ import pytest
 from bubblelab.recur import (
     MIN_TERMS,
     AffineRecurrence,
-    LimitKind,
     NecessityTriple,
     SeriesKind,
-    classify_limit,
     classify_series,
     classify_series_exact,
     affine_path,
     iterate_affine,
     solve_affine,
+    yield_test,
 )
 
 # frozen oracles: iterate x <- 0.5 x + 1 three times from 0; arithmetic
@@ -88,7 +89,7 @@ def test_fixed_point():
     assert AffineRecurrence(1.0, 3.0, 0.0).fixed_point is None
 
 
-# --- limit classification ----------------------------------------------
+# --- long-run oracles -----------------------------------------------------
 
 # slope/drift from the land model at A = 0.4 and 0.7 (full precision)
 RHO_LOW = 0.095 * 1.32 / 0.145
@@ -96,46 +97,18 @@ RHO_HIGH = 1539 / 1450
 DRIFT = 0.855 / 0.145
 
 
-def test_classify_limit_converges_to_fixed_point():
-    res = classify_limit(AffineRecurrence(RHO_LOW, DRIFT, 5.0))
-    assert res.kind is LimitKind.CONVERGES_TO
-    assert res.value == pytest.approx(4275 / 98, rel=1e-12)
-    assert res.convergent
+def test_iterate_affine_converges_to_fixed_point():
+    rec = AffineRecurrence(RHO_LOW, DRIFT, 5.0)
+    assert rec.fixed_point == pytest.approx(4275 / 98, rel=1e-12)
     # oracle: iterate far past the mixing time
-    path = iterate_affine(AffineRecurrence(RHO_LOW, DRIFT, 5.0), 5000)
-    assert path[-1] == pytest.approx(res.value, rel=1e-12)
+    path = iterate_affine(rec, 5000)
+    assert path[-1] == pytest.approx(4275 / 98, rel=1e-12)
 
 
-def test_classify_limit_linear():
-    res = classify_limit(AffineRecurrence(1.0, DRIFT, 5.0))
-    assert res.kind is LimitKind.LINEAR_DIVERGENCE
-    assert res.value == pytest.approx(DRIFT)
-    assert not res.convergent
-
-
-def test_classify_limit_exponential():
-    res = classify_limit(AffineRecurrence(RHO_HIGH, DRIFT, 5.0))
-    assert res.kind is LimitKind.EXPONENTIAL_DIVERGENCE
-    assert res.value == pytest.approx(RHO_HIGH)
+def test_iterate_affine_grows_at_the_slope():
     # oracle: consecutive ratios approach the slope
     path = iterate_affine(AffineRecurrence(RHO_HIGH, DRIFT, 5.0), 600)
     assert path[600] / path[599] == pytest.approx(RHO_HIGH, abs=1e-10)
-
-
-def test_classify_limit_degenerate_cases():
-    # constant path at the fixed point, even with an explosive slope
-    fp = DRIFT / (1.0 - RHO_HIGH)
-    res = classify_limit(AffineRecurrence(RHO_HIGH, DRIFT, fp))
-    assert res.kind is LimitKind.CONVERGES_TO
-    assert res.value == pytest.approx(fp)
-    # zero drift, contracting slope
-    res = classify_limit(AffineRecurrence(0.5, 0.0, 3.0))
-    assert res.kind is LimitKind.CONVERGES_TO_ZERO
-    assert res.value == 0.0
-    # unit slope, zero drift: constant
-    res = classify_limit(AffineRecurrence(1.0, 0.0, 3.0))
-    assert res.kind is LimitKind.CONVERGES_TO
-    assert res.value == 3.0
 
 
 def test_monotone_approach_to_fixed_point():
@@ -255,20 +228,51 @@ def test_series_exact_routes():
     assert classify_series_exact(1.0, power=0.0).kind is SeriesKind.DIVERGENT
 
 
+def test_yield_test_routes():
+    # a known tail is decided exactly, without reading the terms
+    assert yield_test(None, tail=(1.0, -2.0)) == classify_series_exact(1.0, -2.0)
+    assert yield_test(np.ones(5), tail=(0.5, 0.0)).kind is SeriesKind.CONVERGENT
+    # otherwise every term given is read, and too few cannot decide
+    t = np.arange(1, 1_001)
+    assert yield_test(1.0 / t) == classify_series(1.0 / t, horizon=1_000)
+    kind, ratio = yield_test(np.ones(MIN_TERMS - 1))
+    assert kind is SeriesKind.INCONCLUSIVE and math.isnan(ratio)
+    assert yield_test(()).kind is SeriesKind.INCONCLUSIVE
+
+
+def test_only_the_yield_test_calls_the_series_classifiers():
+    """One bubble criterion: within the package, ``classify_series`` and
+    ``classify_series_exact`` are called from ``recur.yield_test`` alone."""
+    src = Path(__file__).resolve().parent.parent / "src" / "bubblelab"
+    callers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("classify_series", "classify_series_exact"):
+                    callers.add(owner)
+            visit(child, owner)
+
+    for module in sorted(src.glob("*.py")):
+        visit(ast.parse(module.read_text(encoding="utf-8")), module.stem)
+    assert callers == {"recur.yield_test"}
+
+
 def test_limit_and_series_views_agree():
-    # exponential price growth makes constant-dividend yields a convergent
-    # series; convergence to a finite positive level makes them divergent
+    # constant dividends over the price x_t: the exact verdict on the yield
+    # tail (1/slope, 0) is the finite sample's on 1/x_t
     for slope, expected in [
         (RHO_HIGH, SeriesKind.CONVERGENT),
         (RHO_LOW, SeriesKind.DIVERGENT),
     ]:
-        rec = AffineRecurrence(slope, DRIFT, 5.0)
-        limit = classify_limit(rec)
-        path = iterate_affine(rec, 4000)
-        res = classify_series(1.0 / path[1:])
-        assert res.kind is expected
-        if limit.kind is LimitKind.EXPONENTIAL_DIVERGENCE:
-            assert res.kind is SeriesKind.CONVERGENT
+        path = iterate_affine(AffineRecurrence(slope, DRIFT, 5.0), 4000)
+        exact = yield_test((), tail=(1.0 / slope, 0.0))
+        assert exact.kind is yield_test(1.0 / path[1:]).kind is expected
 
 
 def test_series_handles_generators():

@@ -59,6 +59,9 @@ def test_tail_asymptotics():
     assert tail_asymptotics(GeometricSeq(2.0, 1.5)) == (1.5, 0.0)
     assert tail_asymptotics(PolynomialSeq(1.0, -2.0)) == (1.0, -2.0)
     assert tail_asymptotics(ExplicitSeq((1.0, 2.0))) is None
+    # a zero scale is identically zero, whatever its ratio or power
+    assert tail_asymptotics(GeometricSeq(0.0, 1.5)) == (0.0, 0.0)
+    assert tail_asymptotics(PolynomialSeq(0.0, 2.0)) == (0.0, 0.0)
 
 
 # --- path container ------------------------------------------------------

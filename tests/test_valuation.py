@@ -220,6 +220,18 @@ def test_yield_detection_routes():
     assert detect_bubble(sam).verdict == "bubbly"
 
 
+def test_yield_detection_on_a_short_path_is_inconclusive():
+    # 99 yields cannot decide the sum: no verdict, and no error either
+    kind, ratio = detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=99)).series
+    assert kind is SeriesKind.INCONCLUSIVE and np.isnan(ratio)
+    assert detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=10)).verdict == (
+        "inconclusive"
+    )
+    assert detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=100)).verdict == (
+        "bubbly"
+    )
+
+
 def test_detectors_agree_with_regime_classifier():
     from bubblelab import classify_regime
 

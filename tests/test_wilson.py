@@ -121,6 +121,24 @@ def test_explicit_sequences_fall_back_to_sampling():
     assert wilson_bubble_test(r).kind is SeriesKind.INCONCLUSIVE
 
 
+def test_short_explicit_sequences_are_inconclusive():
+    # 99 terms of a geometric decay: too few to decide, where the sampled
+    # test used to raise; the horizon caps the terms the same way
+    t = np.arange(99, dtype=float)
+    p = WilsonParams(
+        beta=0.5,
+        young_endow=ExplicitSeq(entries=tuple(1.05 ** t)),
+        dividend=constant(1.0),
+    )
+    kind, ratio = wilson_bubble_test(p)
+    assert kind is SeriesKind.INCONCLUSIVE and np.isnan(ratio)
+    long = WilsonParams(0.5, ExplicitSeq(tuple(1.05 ** np.arange(400.0))), constant(1.0))
+    assert wilson_bubble_test(long).kind is SeriesKind.CONVERGENT
+    assert wilson_bubble_test(long, horizon=99).kind is SeriesKind.INCONCLUSIVE
+    # generators need no terms: a short horizon keeps the exact verdict
+    assert wilson_bubble_test(_growing(), horizon=10).kind is SeriesKind.CONVERGENT
+
+
 def test_zero_dividends_always_bubble():
     p = WilsonParams(beta=0.7, young_endow=constant(1.0), dividend=constant(0.0))
     assert wilson_bubble_test(p).kind is SeriesKind.CONVERGENT
