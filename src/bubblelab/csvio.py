@@ -25,10 +25,18 @@ its column: ``p`` within that window of a half (a possible tie, which both
 formats round half to even; about 0.1% of cells), ``|x|`` below 1e-290 or
 above 1e300 (beyond its powers of ten, down to the subnormals' ``e-324``),
 and a mantissa still out of range after the one correction of the exponent.
-Integer columns within ±1e12, where ``%.12g`` is ``str``, and lists of
-floats take the same kernel; booleans, text (quoted where needed) and other
-integers become byte rows of their own. A NUL inside a text cell is written
-as 0xFF, a byte UTF-8 never uses, and turned back once the NULs are dropped.
+The digits come from three groups of four, split by exact float floor
+division, each group's bytes and trailing zeros read from a table; one row
+per exponent and sign gives lane 0, the place of the point and the exponent's
+bytes in one gather. Integer arrays whose values all lie in 0 to
+``_COUNT_CAP - 1`` (2**16) take their cells from the counting table, the
+kernel's cells of 0 to the next power of two above the largest value seen
+yet, built on first use and rebuilt when a larger value comes: a path's
+``t`` column is one gather. Other integer columns within ±1e12, where
+``%.12g`` is ``str``, and lists of floats take the kernel; booleans, text
+(quoted where needed) and other integers become byte rows of their own. A
+NUL inside a text cell is written as 0xFF, a byte UTF-8 never uses, and
+turned back once the NULs are dropped.
 
 One block writer, ``_write_blocks``, takes at most ``BLOCK_ROWS`` rows of
 every column at a time, and ends a block where a column shorter than the
@@ -36,7 +44,9 @@ file ends, so that a column has all of a block's rows or none; a column with
 none is a blank one byte wide. ``_block_cells`` formats the float cells of
 all of its columns together, once per run of equal bit patterns (a run never
 crosses from one column into the next) and at most ``CHUNK_CELLS`` cells per
-kernel call, and keeps of each float column only the bytes its cells use: a
+kernel call; a float column whose bits equal an earlier column's in the
+block (``price_rent`` and ``P`` where the rent is 1) shares that column's
+cells. It keeps of each float column only the bytes its cells use: a
 column with no two equal neighbours is a view of the kernel's rows, and only
 a column with runs copies its rows out to one per cell. ``render_csv`` lays
 the columns side by side, puts the separators into the free bytes, drops the
@@ -81,10 +91,13 @@ _KERNEL_RANGE = (1e-290, 1e300)
 _TIE_WIDTH = 2.0**-11
 _EXP_OFF = 330                # exponent e of x at index e + _EXP_OFF of the tables
 _EXP_SIZE = 2 * _EXP_OFF + 1
-# lane 0 by index: sign * 5 + prefix length code, then the special values
-_LANE0 = ("", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000",
-          "0", "-0", "nan", "inf", "-inf")
-_ZERO, _NAN, _INF = 10, 12, 13
+# lane 0 by sign * 5 + prefix length; the special values by their kind
+_LEAD = ("", "0.", "0.0", "0.00", "0.000", "-", "-0.", "-0.0", "-0.00", "-0.000")
+_SPECIAL = ("0", "-0", "nan", "inf", "-inf")
+_ZERO, _NAN, _INF = 0, 2, 3
+_COUNT_CAP = 2**16            # rows of the counting table at most
+
+_counts = np.zeros((0, 6), np.uint8)   # the cells of 0 to len - 1, grown on demand
 
 
 def format_float(x: float) -> str:
@@ -121,16 +134,23 @@ def _tables() -> SimpleNamespace:
 
     e = np.arange(_EXP_SIZE) - _EXP_OFF
     fixed = (e >= -4) & (e < 12)
-    exp = [b"" if f else b"e%+03d" % x for x, f in zip(e.tolist(), fixed.tolist())]
+    exp = _lanes_of([b"" if f else b"e%+03d" % x for x, f in zip(e.tolist(), fixed.tolist())])
+    lead = _lanes_of([s.encode().rjust(8, b"\0") for s in _LEAD])
+    prefix = np.where(fixed & (e < 0), -e, 0)
+    # one row per exponent and sign, at (e + _EXP_OFF) * 2 + sign: lane 0, the
+    # row of masks for no trailing zeros, and the exponent's bytes 21-23 (after
+    # the digits) and 24-25
+    rows = np.empty((_EXP_SIZE, 2, 4), np.uint64)
+    rows[:, 0, 0], rows[:, 1, 0] = lead[prefix], lead[5 + prefix]
+    rows[:, :, 1] = (np.where(fixed, np.where(e >= 0, e + 1, 0), 1) * 13 + 12)[:, None]
+    rows[:, :, 2] = (exp << 40)[:, None]
+    rows[:, :, 3] = (exp >> 24)[:, None]
     return SimpleNamespace(
         quad=quad.astype(np.uint64),
-        trailing=trailing,
+        trailing=trailing.astype(np.uint64),
         masks=masks,
-        lane0=_lanes_of([s.encode().rjust(8, b"\0") for s in _LANE0]),
-        point=np.where(fixed, np.where(e >= 0, e + 1, 0), 1) * 13,
-        prefix=np.where(fixed & (e < 0), -e, 0),
-        exp_hi=_lanes_of(exp) << 40,   # bytes 21-23, after the digits
-        exp_lo=_lanes_of(exp) >> 24,   # bytes 24-25
+        rows=rows.reshape(2 * _EXP_SIZE, 4),
+        special=_lanes_of([s.encode().rjust(8, b"\0") for s in _SPECIAL]),
         bools=np.array([b"false", b"true"], dtype="S6").view(np.uint8).reshape(2, 6),
         pow10=np.array([_pow10(k) if -290 <= k <= 302 else 0.0 for k in (11 - e).tolist()]),
     )
@@ -141,7 +161,8 @@ def _mantissa(tab: SimpleNamespace, a: np.ndarray, e: np.ndarray):
     product lies within ``_TIE_WIDTH`` of a half, too close to call."""
     p = a * tab.pow10[e + _EXP_OFF]
     m = np.rint(p)
-    return m, np.abs(np.abs(p - m) - 0.5) < _TIE_WIDTH
+    p -= m            # exact, and at most a half
+    return m, np.abs(p, out=p) > 0.5 - _TIE_WIDTH
 
 
 def _g12_lanes(x: np.ndarray) -> np.ndarray:
@@ -151,44 +172,63 @@ def _g12_lanes(x: np.ndarray) -> np.ndarray:
     tab = _tables()
     sign = np.signbit(x)
     a = np.abs(x)
-    fast = (a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
-    a = np.where(fast, a, 1.0)
+    rare = np.flatnonzero(~((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])))
+    a[rare] = 1.0     # zeros, NaNs, infinities and |x| beyond the powers of ten
     e = np.floor(np.log10(a)).astype(np.int64)
-    m, tie = _mantissa(tab, a, e)
-    redo = np.flatnonzero((m < 1e11) | (m >= 1e12))
+    m, back = _mantissa(tab, a, e)   # back: handed back to the per-cell formatter
+    wide = (m < 1e11) | (m >= 1e12)
+    redo = np.flatnonzero(wide)
     if redo.size:
         e[redo] += np.where(m[redo] >= 1e12, 1, -1)
         m[redo], near = _mantissa(tab, a[redo], e[redo])
-        tie[redo] |= near     # a first pass near a half may have chosen e wrongly
-    special = ~np.isfinite(x) | (x == 0)
-    slow = np.flatnonzero(~(fast | special) | tie | (m < 1e11) | (m >= 1e12))
+        back[redo] |= near    # a first pass near a half may have chosen e wrongly
+        wide[redo] = (m[redo] < 1e11) | (m[redo] >= 1e12)
+    back |= wide
+    special = ~np.isfinite(x[rare]) | (x[rare] == 0)
+    back[rare] = ~special
+    slow = np.flatnonzero(back)
     if slow.size:
         # the digits and exponent %.12g rounds to, correctly, as %.11e has them
         texts = [t.lstrip("-") for t in map(_format_e11, x[slow].tolist())]
         m[slow] = [int(t[0] + t[2:13]) for t in texts]
         e[slow] = [int(t[14:]) for t in texts]
-    e += _EXP_OFF
 
-    g0, rest = np.divmod(m.astype(np.int64), 100_000_000)
-    g1, g2 = np.divmod(rest, 10_000)
+    # m is an integer below 1e12, so no quotient rounds across an integer
+    g0 = np.floor(m / 1e8)
+    m -= g0 * 1e8
+    g1 = np.floor(m / 1e4)
+    m -= g1 * 1e4
+    g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), m.astype(np.intp)
     d1 = tab.quad[g0] | (tab.quad[g1] << 32)
     d2 = tab.quad[g2]
-    trailing = tab.trailing
-    zeros = trailing[g2] + (g2 == 0) * (trailing[g1] + (g1 == 0) * trailing[g0])
-    masks = np.take(tab.masks, tab.point[e] + 12 - zeros, axis=0)
-    out = np.empty((x.size, 4), np.uint64)
-    out[:, 0] = tab.lane0[sign * 5 + tab.prefix[e]]
-    out[:, 1] = (d1 & masks[:, 0]) | ((d1 << 8) & masks[:, 2]) | masks[:, 4]
-    d2 = (d2 & masks[:, 1]) | (((d2 << 8) | (d1 >> 56)) & masks[:, 3]) | masks[:, 5]
-    out[:, 2] = d2 | tab.exp_hi[e]
-    out[:, 3] = tab.exp_lo[e]
+    zeros = tab.trailing[g2]
+    z = np.flatnonzero(g2 == 0)
+    if z.size:
+        g1 = g1[z]
+        zeros[z] += tab.trailing[g1] + (g1 == 0) * tab.trailing[g0[z]]
+    e += _EXP_OFF
+    e *= 2
+    out = np.take(tab.rows, e + sign, axis=0)   # row (e + _EXP_OFF) * 2 + sign
+    masks = np.take(tab.masks, out[:, 1] - zeros, axis=0)
+    # the digits, the digits one byte up and the point, in place
+    lane = d1 << 8
+    lane &= masks[:, 2]
+    lane |= masks[:, 4]
+    lane |= d1 & masks[:, 0]
+    out[:, 1] = lane
+    np.left_shift(d2, 8, out=lane)
+    lane |= d1 >> 56
+    lane &= masks[:, 3]
+    lane |= masks[:, 5]
+    d2 &= masks[:, 1]
+    out[:, 2] |= lane | d2
 
     if special.any():
-        at = np.flatnonzero(special)
+        at = rare[special]
         s = x[at]
         out[at] = 0
         kind = np.where(np.isnan(s), _NAN, np.where(s == 0, _ZERO, _INF) + sign[at])
-        out[at, 0] = tab.lane0[kind]
+        out[at, 0] = tab.special[kind]
     return out.astype("<u8", copy=False)
 
 
@@ -199,6 +239,27 @@ def _runs(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=first.size)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _distinct(arrays: list[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The float64 columns with no earlier column of the same bits, and the
+    index among them of every column's first equal. Bits, not ``==``, so
+    ``-0.0`` and ``0.0`` and NaNs with different payloads stay apart; a
+    column's length and first bits rule a candidate out before the rest."""
+    distinct, index, seen = [], [], {}
+    for a in arrays:
+        same = seen.setdefault((a.size, a[:1].tobytes()), [])
+        i = next((i for i in same if _same_bits(a, distinct[i])), None)
+        if i is None:
+            i = len(distinct)
+            same.append(i)
+            distinct.append(a)
+        index.append(i)
+    return distinct, index
+
+
 def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """The cells of float64 columns as uint8 rows: the kernel formats each
     run of neighbours with the same bit pattern once, ``CHUNK_CELLS`` runs
@@ -207,7 +268,9 @@ def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
     one column into the next. Each column keeps only the span of the 32
     bytes that its cells use, and one free byte after it. A column with no
     run longer than one cell is that span of the kernel's rows, a view; only
-    a column with longer runs repeats its rows."""
+    a column with longer runs repeats its rows. A column whose bits equal an
+    earlier one's shares its cells."""
+    arrays, index = _distinct(arrays)
     offsets = np.cumsum([0] + [a.size for a in arrays])
     values = np.concatenate(arrays) if arrays else np.empty(0)
     bits = values.view(np.uint64)
@@ -231,7 +294,7 @@ def _float_lanes(arrays: list[np.ndarray]) -> list[np.ndarray]:
             # whole 32-byte rows, which numpy repeats faster than a narrower span
             cells[j] = np.repeat(cells[j], lengths[r0:r1], axis=0)
         cells[j] = cells[j][:, lo : hi + 2]
-    return cells
+    return [cells[i] for i in index]
 
 
 def _text_rows(texts: list[str]) -> np.ndarray:
@@ -276,6 +339,26 @@ def _text_cells(col: list[object] | np.ndarray) -> np.ndarray:
     return _text_rows([quote_field(_format_value(v)) for v in col])
 
 
+def _counted(col: list[object] | np.ndarray) -> np.ndarray | None:
+    """The cells of an integer array from the counting table when every
+    value lies in 0 to ``_COUNT_CAP - 1``, else None. The table holds the
+    kernel's cells of 0 to the next power of two above the largest value
+    asked for yet, each left-aligned in 6 bytes, and grows when a larger
+    value comes."""
+    global _counts
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.size):
+        return None
+    top = int(col.max())
+    if top >= _COUNT_CAP or col.min() < 0:
+        return None
+    if top >= len(_counts):
+        n = np.arange(1 << top.bit_length(), dtype=np.float64)
+        lanes = [_g12_lanes(n[i : i + CHUNK_CELLS]) for i in range(0, n.size, CHUNK_CELLS)]
+        _counts = np.concatenate(lanes).view(np.uint8)[:, 8:14].copy()
+        _counts[0, 0] = ord("0")    # the kernel right-aligns 0 in lane 0
+    return np.take(_counts, col, axis=0)[:, : len(str(top)) + 1]
+
+
 def _block_cells(
     columns: list[list[object] | np.ndarray], start: int, stop: int
 ) -> list[np.ndarray]:
@@ -283,11 +366,13 @@ def _block_cells(
     byte rows, the float cells of all columns formatted together; a column
     that has ended by ``start`` is one NUL byte a row, a blank cell."""
     parts = [col[start:stop] for col in columns]
-    floats = [_floats(part) for part in parts]
+    counted = [_counted(part) for part in parts]
+    floats = [None if c is not None else _floats(p) for p, c in zip(parts, counted)]
     lanes = iter(_float_lanes([f for f in floats if f is not None]))
     block = []
-    for part, values in zip(parts, floats):
-        cells = _text_cells(part) if values is None else next(lanes)
+    for part, cells, values in zip(parts, counted, floats):
+        if cells is None:
+            cells = _text_cells(part) if values is None else next(lanes)
         block.append(cells if len(cells) else np.zeros((stop - start, 1), np.uint8))
     return block
 

@@ -161,7 +161,7 @@ def test_t_column_is_the_periods_and_integers_write_plainly():
     price = np.linspace(1.0, 2.0, B + 3)
     path = EquilibriumPath(price, np.ones_like(price))
     assert np.array_equal(csvio.column_array(path, "t"), np.arange(B + 3))
-    assert csvio.emit_csv(path, ("t",)) == "t\n" + "".join(f"{t}\n" for t in range(B + 3))
+    assert_same_text(csvio.emit_csv(path, ("t",)), "t\n" + "".join(f"{t}\n" for t in range(B + 3)))
     signed = np.array([0, -3, 10**12, 7], dtype=np.int64)
     unsigned = np.array([0, 255, 9, 9], dtype=np.uint8)
     got = csvio.emit_table_csv(["i", "u"], [signed, unsigned])

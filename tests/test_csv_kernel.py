@@ -8,19 +8,29 @@ ten, the switches between fixed and exponent notation, signed zeros, the
 extremes), and one case for each branch that hands a cell back to the
 per-cell formatter. Two more hold the hand-back window to the error of the
 kernel's product, computed in exact fractions, and the share of cells handed
-back to 0.2%. And two hold the packed layout: a handed-back cell keeps
-to its column's bytes, and the blocks of stress-horizon path CSVs carry few
-empty bytes. Every draw comes from a fixed seed."""
+back to 0.2%. A seeded property draws mantissas with every count of trailing
+zeros, at exponents in every notation. Two cases hold the packed layout: a
+handed-back cell keeps to its column's bytes, and the blocks of
+stress-horizon path CSVs carry few empty bytes; one pins the bytes of those
+CSVs. The rest cover the two ways a block keeps cells from the kernel: the
+counting table of small non-negative integers (its growth, its cap, a path's
+``t`` column) and a float column that repeats an earlier one's bits. Every
+draw comes from a fixed seed."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bubblelab as bl
 from bubblelab import csvio
+from tests.test_csv_blocks import assert_same_text
+from tests.test_csvio import ref_emit_table_csv
 
 
 def kernel_text(x: np.ndarray) -> list[str]:
@@ -203,10 +213,10 @@ def kernel_cells(monkeypatch):
     return seen
 
 
-def write_stress_paths(seed: int, horizon: int = 5000) -> None:
-    """Path CSVs of the land economy (valued), Samuelson and Bewley at a
-    stress horizon, every column each path defines, starting points and
-    truncations drawn from the seed."""
+def write_stress_paths(seed: int, horizon: int = 5000) -> list[str]:
+    """Path CSVs of the land economy and Wilson (valued), Samuelson and
+    Bewley at a stress horizon, every column each path defines, starting
+    points and truncations drawn from the seed; their texts."""
     r = random.Random(seed)
 
     def land(productivity):
@@ -215,6 +225,8 @@ def write_stress_paths(seed: int, horizon: int = 5000) -> None:
 
     samuelson = bl.SamuelsonParams(beta=0.5, young_endow=3.0, old_endow=1.0)
     bewley = bl.BewleyParams(beta=0.9, gamma=2.0, growth=1.02, rich_endow=2.0, poor_endow=1.0)
+    wilson = bl.WilsonParams(beta=0.6, young_endow=bl.GeometricSeq(1.0, 1.05),
+                             dividend=bl.GeometricSeq(0.1, 1.02))
     paths = [
         bl.simulate_from_price(land(0.4), r.uniform(1.0, 10.0), horizon),
         bl.simulate_from_price(land(0.7), r.uniform(1.0, 10.0), horizon),
@@ -225,7 +237,9 @@ def write_stress_paths(seed: int, horizon: int = 5000) -> None:
             samuelson, bl.samuelson_equilibria(samuelson).stationary_price, horizon
         ),
         bl.bewley_path(bewley, horizon),
+        bl.wilson_path(wilson, horizon),   # every cell distinct
     ]
+    texts = []
     for path in paths:
         fields = {"t": 0, "price_rent": 0, "yield": 0, **csvio._PATH_FIELDS}
         columns = [c for c, f in fields.items() if not f or getattr(path, f) is not None]
@@ -236,7 +250,17 @@ def write_stress_paths(seed: int, horizon: int = 5000) -> None:
             columns += ["V", "bubble"]
         else:
             columns.remove("price_rent")
-        csvio.emit_csv(path, tuple(columns), report)
+        texts.append(csvio.emit_csv(path, tuple(columns), report))
+    return texts
+
+
+# sha256 of the concatenated texts of write_stress_paths(seed=1)
+STRESS_SHA256 = "96bdabe4b906912aa5f61e823424f6727f4fe6d71e4430ecdd09084a254450dc"
+
+
+def test_stress_path_bytes_are_frozen():
+    text = "".join(write_stress_paths(seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == STRESS_SHA256
 
 
 def test_few_cells_are_handed_back(fallbacks, kernel_cells):
@@ -271,3 +295,128 @@ def test_path_blocks_carry_few_empty_bytes(monkeypatch):
     write_stress_paths(seed=1)
     assert size > 1_000_000
     assert empty <= 0.1 * size
+
+
+# --- the digit arithmetic ----------------------------------------------------
+
+
+@st.composite
+def twelve_digits(draw):
+    """A float whose 12-digit mantissa has 0 to 11 trailing zeros, or sits
+    on a digit group's edge, at an exponent of every notation: fixed,
+    ``0.000…`` and ``e±XX`` to ``e±XXX``, either sign."""
+    zeros = draw(st.integers(0, 11))
+    head = draw(st.integers(10 ** (11 - zeros), 10 ** (12 - zeros) - 1))
+    k8 = draw(st.integers(1001, 9999))           # m = k8 * 1e8: the last 8 digits 0
+    k4 = draw(st.integers(10**7, 10**8 - 1))     # m = k4 * 1e4: the last 4 digits 0
+    m = draw(st.sampled_from(
+        [head * 10**zeros, 10**11, 10**12 - 1, k8 * 10**8, k8 * 10**8 - 1, k4 * 10**4]
+    ))
+    e = draw(st.one_of(st.integers(-6, 13), st.integers(-290, 299)))
+    x = float(Fraction(m) * Fraction(10) ** (e - 11))
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.lists(twelve_digits(), min_size=1, max_size=40))
+def test_digit_groups_and_trailing_zeros_match_g12(xs):
+    assert_matches_g12(np.array(xs))
+
+
+# --- the counting table ------------------------------------------------------
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """An empty counting table, restored after the test."""
+    monkeypatch.setattr(csvio, "_counts", np.zeros((0, 6), np.uint8))
+
+
+def assert_cells_are_str(values: np.ndarray) -> None:
+    want = "n\n" + "".join(f"{v}\n" for v in values.tolist())
+    assert_same_text(csvio.emit_table_csv(["n"], [values]), want)
+
+
+def test_the_counting_table_grows_to_the_next_power_of_two(counts, kernel_cells):
+    cap = csvio._COUNT_CAP
+    for v in [0] + [v for k in range(17) for v in (2**k - 1, 2**k)]:
+        size = len(csvio._counts)
+        kernel_cells[0] = 0
+        assert_cells_are_str(np.array([v, 0]))
+        if v >= cap:
+            # past the cap the kernel formats the column and the table stays
+            assert len(csvio._counts) == size and kernel_cells[0] == 2
+        else:
+            assert len(csvio._counts) == max(size, 1 << v.bit_length()) <= cap
+            # a table grows by formatting all its rows anew, and only then
+            assert kernel_cells[0] == (len(csvio._counts) if len(csvio._counts) > size else 0)
+
+
+def test_a_column_grows_the_table_in_its_second_block(counts):
+    assert_cells_are_str(np.arange(csvio.BLOCK_ROWS + 5))
+    assert len(csvio._counts) == 2 * csvio.BLOCK_ROWS
+
+
+def test_unordered_and_unsigned_columns_take_the_table(counts, kernel_cells):
+    rng = np.random.default_rng(27)
+    assert_cells_are_str(rng.permutation(np.repeat(np.arange(3000), 2)))
+    for dtype in (np.uint8, np.uint16, np.uint64, np.int32):
+        assert_cells_are_str(rng.integers(0, 3000, 500).astype(dtype))
+    assert kernel_cells[0] == len(csvio._counts) == 4096
+
+
+def test_negative_values_and_values_at_the_cap_take_the_kernel(counts, kernel_cells):
+    cap = csvio._COUNT_CAP
+    for values in ([-1, 0, 5], [3, cap, 7], [cap - 1, cap + 1], [-(10**11), 10**11]):
+        kernel_cells[0] = 0
+        assert_cells_are_str(np.array(values))
+        assert kernel_cells[0] == len(values)
+    assert len(csvio._counts) == 0
+
+
+def test_a_path_t_column_never_reaches_the_kernel(counts, kernel_cells):
+    path = bl.simulate_from_price(bl.BareBonesParams(
+        pi=0.1, beta=0.95, delta=0.08, productivity=0.7, rent=1.0), 4.0, 5000)
+    csvio.emit_csv(path, ("t",))   # builds the table
+    kernel_cells[0] = 0
+    assert csvio.emit_csv(path, ("t",)).endswith("\n4999\n5000\n")
+    assert kernel_cells[0] == 0
+    csvio.emit_csv(path, ("t", "P"))
+    assert kernel_cells[0] == len(path)   # the cells of P alone, every one distinct
+
+
+# --- a repeated column -------------------------------------------------------
+
+
+def test_price_rent_with_unit_rents_reuses_the_price_cells(kernel_cells):
+    path = bl.simulate_from_price(bl.BareBonesParams(
+        pi=0.1, beta=0.95, delta=0.08, productivity=0.7, rent=1.0), 4.0, 5000)
+    assert np.array_equal(path.price_rent().view(np.uint64), path.price.view(np.uint64))
+    together = csvio.emit_csv(path, ("P", "price_rent"))
+    cells = kernel_cells[0]
+    apart = [csvio.emit_csv(path, (c,)).split("\n") for c in ("P", "price_rent")]
+    assert_same_text(together, "\n".join(",".join(row) if row[0] else "" for row in zip(*apart)))
+    assert cells == len(path) and kernel_cells[0] == 3 * cells
+
+
+def test_signed_zeros_and_nan_payloads_are_not_merged(kernel_cells):
+    zeros, negative = np.zeros(10), np.full(10, -0.0)
+    nans = np.array([0x7FF8000000000000] * 10, dtype=np.uint64).view(np.float64)
+    other = np.array([0x7FF8000000000001] * 10, dtype=np.uint64).view(np.float64)
+    columns = [zeros, negative, nans, other, zeros.copy(), other.copy()]
+    assert csvio._distinct(columns)[1] == [0, 1, 2, 3, 0, 3]
+    header = list("abcdef")
+    got = csvio.emit_table_csv(header, columns)
+    assert_same_text(got, ref_emit_table_csv(header, [list(r) for r in zip(*columns)]))
+    assert got.split("\n")[1] == "0,-0,nan,nan,0,nan"
+    assert kernel_cells[0] == 4   # one run per distinct column
+
+
+def test_a_column_equal_in_one_block_only_is_formatted_in_the_next(kernel_cells):
+    b = csvio.BLOCK_ROWS
+    x = np.random.default_rng(3).random(b + 50)
+    y = x.copy()
+    y[b + 10] = -y[b + 10]
+    got = csvio.emit_table_csv(["x", "y"], [x, y])
+    assert_same_text(got, ref_emit_table_csv(["x", "y"], [list(r) for r in zip(x, y)]))
+    assert kernel_cells[0] == b + 2 * 50
