@@ -25,8 +25,7 @@ _EXPORTS = {
         "construct_equilibrium", "longrun_rate", "min_wealth", "price_drift",
         "price_recurrence", "price_slope", "simulate_forward",
         "simulate_from_price", "simulate_regime_switch", "simulate_timevarying",
-        "steady_path", "steady_state", "threshold_values", "thresholds",
-        "timevarying_threshold",
+        "steady_path", "steady_state", "thresholds", "timevarying_threshold",
     ),
     "bewley": (
         "BewleyEquilibrium", "BewleyParams", "bewley_path", "bewley_price",

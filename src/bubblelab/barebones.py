@@ -29,6 +29,8 @@ recurrence
 
 has rho >= 1: no steady state, unbounded land prices, and (strictly above)
 a genuine bubble: land appreciation outruns rents, sum D/P_t < infinity.
+Land's long-run return is the steady state's rate where one exists, else
+rho; it is continuous at both cutoffs.
 
 ``construct_equilibrium`` assembles the equilibrium from an arbitrary
 initial capital stock: a finite run of periods with interior phi (land and
@@ -43,8 +45,7 @@ when the sequences are generators.
 
 ``classify_regime`` reports R < G_d < G as ``recur.NecessityTriple``
 (re-exported here): R is the balanced rate, G_d = 1 as rents are constant,
-and G = max(1, rho), a rho within the unit tolerance of 1 counted as 1, so
-``holds`` is ``has_bubble``.
+and G is rho in the bubbly regime, else 1, so ``holds`` is ``has_bubble``.
 """
 
 from __future__ import annotations
@@ -107,17 +108,13 @@ class Thresholds(NamedTuple):
     high: float   # at and above: no steady state, prices unbounded
 
 
-def threshold_values(pi: float, beta: float, delta: float) -> tuple[float, float]:
-    """The two productivity cutoffs; defined for pi in (0, 1] (they coincide
-    at pi = 1)."""
-    low = (1.0 - beta) / beta + delta
-    high = (1.0 - beta) / (beta * pi) + delta
-    return low, high
-
-
 def thresholds(p: BareBonesParams) -> Thresholds:
-    low, high = threshold_values(p.pi, p.beta, p.delta)
-    return Thresholds(low=low, high=high)
+    """Both productivity cutoffs, of scalar or array fields; defined for pi
+    in (0, 1] (they coincide at pi = 1)."""
+    return Thresholds(
+        low=(1.0 - p.beta) / p.beta + p.delta,
+        high=(1.0 - p.beta) / (p.beta * p.pi) + p.delta,
+    )
 
 
 def capital_return(p: BareBonesParams) -> float:
@@ -182,13 +179,13 @@ def classify_regime(p: BareBonesParams) -> Regime:
     """Which of the four long-run regimes the parameters produce. The
     boundary is detected on the price-map slope (|rho - 1| within the unit
     tolerance), keeping it consistent with the recurrence classifier."""
-    rho = price_slope(p)
+    kind = _regime_kind(p)
     necessity = NecessityTriple(
         fundamental_rate=balanced_rate(p),
         dividend_growth=1.0,
-        economy_growth=1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else max(1.0, rho),
+        economy_growth=price_slope(p) if kind is RegimeKind.BUBBLY_UNBALANCED else 1.0,
     )
-    return Regime(kind=_regime_kind(p), necessity=necessity)
+    return Regime(kind=kind, necessity=necessity)
 
 
 class SteadyState(NamedTuple):
@@ -246,15 +243,9 @@ def steady_state(p: BareBonesParams) -> SteadyState | None:
 
 
 def longrun_rate(p: BareBonesParams) -> float:
-    """Long-run land return: 1/beta below the lower threshold, the balanced
-    rate between the thresholds, the price-map slope rho at and above the
-    upper one. Continuous at both cutoffs."""
-    th = thresholds(p)
-    if p.productivity <= th.low:
-        return _land_only_rate(p)
-    if p.productivity >= th.high:
-        return price_slope(p)
-    return balanced_rate(p)
+    """Land's long-run return: the steady state's rate where one exists, else rho."""
+    ss = steady_state(p)
+    return price_slope(p) if ss is None else ss.rate
 
 
 def min_wealth(p: BareBonesParams) -> float:
@@ -322,6 +313,12 @@ def _full_investment(
     return path, _arbitrage_violations(path.price, path.rate, a + 1.0 - p.delta)
 
 
+def _require_investment(p: BareBonesParams, what: str) -> None:
+    low = thresholds(p).low
+    if not (p.productivity > low):
+        raise ValueError(f"{what} needs productivity > {low}, got {p.productivity}")
+
+
 def simulate_forward(
     p: BareBonesParams, w0: float, horizon: int, require_feasible: bool = True
 ) -> EquilibriumPath:
@@ -332,11 +329,7 @@ def simulate_forward(
     unless ``require_feasible`` is off, in which case the path is produced
     and flagged (early land returns then exceed the capital return).
     """
-    th = thresholds(p)
-    if not (p.productivity > th.low):
-        raise ValueError(
-            f"full investment needs productivity > {th.low}, got {p.productivity}"
-        )
+    _require_investment(p, "full investment")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not (w0 > 0.0):
@@ -414,11 +407,7 @@ def construct_equilibrium(
     every pre-phase share lies strictly inside (0, pi). The scan terminates
     because the closing equation's numerator grows without bound in j.
     """
-    th = thresholds(p)
-    if not (p.productivity > th.low):
-        raise ValueError(
-            f"construction needs productivity > {th.low}, got {p.productivity}"
-        )
+    _require_investment(p, "construction")
     if not (k0 >= 0.0):
         raise ValueError("k0 must be nonnegative")
     if horizon < 1:

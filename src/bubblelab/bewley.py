@@ -57,12 +57,6 @@ class BewleyEquilibrium(NamedTuple):
     reason: str                  # why not, when exists is False
 
 
-def _mu_ratio(p: BewleyParams) -> float:
-    """m = (beta * G^(1-gamma))^(1/gamma), the equilibrium ratio of
-    detrended consumptions (a-p)/(b+p)... inverted; p solves m*(a-p) = b+p."""
-    return (p.beta * p.growth ** (1.0 - p.gamma)) ** (1.0 / p.gamma)
-
-
 def bewley_price(p: BewleyParams) -> BewleyEquilibrium:
     """Detrended price of the unbacked asset, with existence diagnostics."""
     growth_factor = p.beta * p.growth ** (1.0 - p.gamma)
@@ -75,7 +69,7 @@ def bewley_price(p: BewleyParams) -> BewleyEquilibrium:
                 "discounted marginal utility does not shrink"
             ),
         )
-    m = _mu_ratio(p)
+    m = growth_factor ** (1.0 / p.gamma)
     if p.poor_endow >= m * p.rich_endow:
         return BewleyEquilibrium(
             exists=False,

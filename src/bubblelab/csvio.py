@@ -109,12 +109,6 @@ def _lanes_of(cells: list[bytes]) -> np.ndarray:
     return np.array(cells, dtype="S8").view("<u8").astype(np.uint64)
 
 
-def _pow10(k: int) -> float:
-    """``fl(10**k)`` from exact integers, correctly rounded; the kernel reads
-    the ``k = 11 - e`` of ``|x|`` in ``_KERNEL_RANGE``, one correction wider."""
-    return float(10**k) if k >= 0 else 1 / 10**-k
-
-
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The kernel's lookup tables, built on its first call."""
@@ -152,7 +146,9 @@ def _tables() -> SimpleNamespace:
         rows=rows.reshape(2 * _EXP_SIZE, 4),
         special=_lanes_of([s.encode().rjust(8, b"\0") for s in _SPECIAL]),
         bools=np.array([b"false", b"true"], dtype="S6").view(np.uint8).reshape(2, 6),
-        pow10=np.array([_pow10(k) if -290 <= k <= 302 else 0.0 for k in (11 - e).tolist()]),
+        # fl(10**k), correctly rounded as CPython parses decimal literals; the
+        # kernel reads the k = 11 - e of |x| in _KERNEL_RANGE, one correction wider
+        pow10=np.array([float(f"1e{k}") if -290 <= k <= 302 else 0.0 for k in (11 - e).tolist()]),
     )
 
 

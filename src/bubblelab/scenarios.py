@@ -509,7 +509,7 @@ def _grid_row(grid: Callable[[dict], dict[str, np.ndarray]], o: dict) -> dict:
 def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
     p = _param_arrays(o, tuple(_LAND))
     a, rho = p.productivity, barebones.price_slope(p)
-    low, high = barebones.threshold_values(p.pi, p.beta, p.delta)
+    low, high = barebones.thresholds(p)
     # the regime, as in classify_regime
     land = a <= low
     boundary = ~land & (np.abs(rho - 1.0) <= UNIT_SLOPE_TOL)
@@ -524,14 +524,13 @@ def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
         ],
         RegimeKind.BUBBLY_UNBALANCED.value,
     )
-    above = ~land & (a >= high)
+    steady_rate = _piecewise(
+        p,
+        (land, barebones._land_only_rate),
+        (balanced, barebones.balanced_rate),
+    )
     return {
-        "longrun_rate": _piecewise(
-            p,
-            (land, barebones._land_only_rate),
-            (above, barebones.price_slope),
-            (~(land | above), barebones.balanced_rate),
-        ),
+        "longrun_rate": np.where(land | balanced, steady_rate, rho),
         "regime": regime,
         "has_bubble": bubbly,
         "steady_price": _piecewise(
@@ -542,11 +541,7 @@ def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
                 lambda q: barebones._balanced_price(q, barebones.balanced_rate(q)),
             ),
         ),
-        "steady_rate": _piecewise(
-            p,
-            (land, barebones._land_only_rate),
-            (balanced, barebones.balanced_rate),
-        ),
+        "steady_rate": steady_rate,
         "price_slope": rho,
         "min_wealth": barebones.min_wealth(p),
         "threshold_low": low,

@@ -43,7 +43,6 @@ from bubblelab import (
     simulate_regime_switch,
     simulate_timevarying,
     steady_path,
-    threshold_values,
     thresholds,
     timevarying_threshold,
     tirole_crowdin_steady,
@@ -162,7 +161,7 @@ def test_03_capital_crowding_steady_states():
 
 @guarantee(4, "productivity thresholds and long-run rate continuity")
 def test_04_thresholds_and_rate_continuity():
-    lo, hi = threshold_values(PI, BETA, DELTA)
+    lo, hi = thresholds(cp(0.5))
     assert abs(lo - TH_LOW) < 1e-9
     assert abs(hi - TH_HIGH) < 1e-9
     assert lo == pytest.approx(0.132632, abs=5e-7)
@@ -229,7 +228,7 @@ def test_07_temporary_boom_curvature():
 @guarantee(8, "three bubble detectors agree on 200 random draws")
 def test_08_detector_equivalence_on_random_draws():
     rng = np.random.default_rng(20260814)
-    lo, hi = threshold_values(PI, BETA, DELTA)
+    lo, hi = thresholds(cp(0.5))
     draws = []
     while len(draws) < 198:
         a = float(rng.uniform(0.0, 1.0))

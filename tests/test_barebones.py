@@ -14,6 +14,8 @@ pi = 0.1, beta = 0.95, delta = 0.08, D = 1, X = 1, worked out by hand:
     wealth floor     DX/((1-b) b (1-pi)(A+1-d)): 1e5/5643 at 0.4, 2e5/13851 at 0.7
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,6 @@ from bubblelab import (
     solve_affine,
     steady_path,
     steady_state,
-    threshold_values,
     thresholds,
     timevarying_threshold,
 )
@@ -72,14 +73,22 @@ def cp(a: float, rent: float = 1.0, **kw) -> BareBonesParams:
 
 
 def test_threshold_oracles():
-    low, high = threshold_values(0.1, 0.95, 0.08)
+    low, high = thresholds(cp(0.4))
     assert low == pytest.approx(TH_LOW, rel=1e-14)
     assert high == pytest.approx(TH_HIGH, rel=1e-14)
-    th = thresholds(cp(0.4))
-    assert (th.low, th.high) == (low, high)
     # at pi = 1 every saver invests and the cutoffs coincide
-    l1, h1 = threshold_values(1.0, 0.95, 0.08)
+    l1, h1 = thresholds(SimpleNamespace(pi=1.0, beta=0.95, delta=0.08))
     assert l1 == h1
+
+
+def test_thresholds_of_arrays_are_the_scalar_thresholds():
+    # a sweep grid calls thresholds on a namespace of float64 arrays
+    rng = np.random.default_rng(28)
+    pi, beta, delta = rng.uniform(0.01, 0.99, (3, 200))
+    low, high = thresholds(SimpleNamespace(pi=pi, beta=beta, delta=delta))
+    for i, (p, b, d) in enumerate(zip(pi.tolist(), beta.tolist(), delta.tolist())):
+        th = thresholds(BareBonesParams(pi=p, beta=b, delta=d, productivity=0.4, rent=1.0))
+        assert (low[i], high[i]) == th
 
 
 def test_coefficient_oracles():

@@ -135,6 +135,18 @@ def test_ties_fall_back(fallbacks):
     assert fallbacks == ties.tolist() + near.tolist()
 
 
+def test_the_power_table_is_the_exact_integer_one():
+    # the kernel's error bound needs fl(10**k) correctly rounded: int / int
+    # rounds correctly, and so must the table's parse of "1e{k}", at every
+    # k = 11 - e the kernel reaches
+    e = np.arange(csvio._EXP_SIZE) - csvio._EXP_OFF
+    k = 11 - e
+    reached = (-290 <= k) & (k <= 302)
+    assert reached.sum() == 593
+    want = [float(10**j) if j >= 0 else 1 / 10**-j for j in k[reached].tolist()]
+    assert csvio._tables().pow10[reached].tolist() == want
+
+
 def test_the_product_error_is_within_half_the_window():
     # the kernel rounds p = fl(a * fl(10**k)) and hands back a cell when p
     # lies within _TIE_WIDTH of a half; that is sound while p is within

@@ -1,0 +1,138 @@
+"""The land economy's closed forms, derived with sympy from its equations and
+checked against the library.
+
+Under full investment (phi = pi), period t's wealth accounting, consumption
+and budget
+
+    W_t = (A+1-delta) K_t + (P_t + D) X,   C_t = (1-beta) W_t,
+    K_{t+1} + P_t X = beta W_t,            K_{t+1} = beta pi W_t,
+
+with K_t = beta pi W_{t-1} and P_{t-1} X = beta (1-pi) W_{t-1} from period
+t-1, give the price map P_t = rho P_{t-1} + gamma. Its fixed point prices
+land at the balanced rate (P + D) / P. Land alone (K = 0, P X = beta W)
+earns 1/beta. The upper cutoff is where rho = 1; the lower one is where
+capital's return A + 1 - delta equals the land-only rate.
+"""
+
+import functools
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bubblelab import BareBonesParams, balanced_rate, price_slope, thresholds  # noqa: E402
+
+beta, pi, delta, A, D, X = sympy.symbols("beta pi delta A D X", positive=True)
+P_prev, P, W, C, K_next = sympy.symbols("P_prev P W C K_next", positive=True)
+R_K = A + 1 - delta
+U = Fraction(1, 2**53)   # the unit roundoff of a double
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@functools.cache
+def derived() -> SimpleNamespace:
+    w_prev = P_prev * X / (beta * (1 - pi))
+    period = [
+        sympy.Eq(W, R_K * beta * pi * w_prev + (P + D) * X),
+        sympy.Eq(C, (1 - beta) * W),
+        sympy.Eq(K_next + P * X, beta * W),
+        sympy.Eq(K_next, beta * pi * W),
+    ]
+    price = sympy.solve(period, [W, C, K_next, P], dict=True)[0][P]
+    rho = sympy.simplify(sympy.diff(price, P_prev))
+    gamma = sympy.simplify(price - rho * P_prev)
+    fixed = gamma / (1 - rho)
+    land_price = sympy.solve(sympy.Eq(P * X, beta * (P + D) * X), P)[0]
+    land_rate = sympy.simplify((land_price + D) / land_price)
+    return SimpleNamespace(
+        rho=rho,
+        gamma=gamma,
+        balanced=sympy.simplify((fixed + D) / fixed),
+        land_rate=land_rate,
+        low=sympy.solve(sympy.Eq(R_K, land_rate), A)[0],
+        high=sympy.solve(sympy.Eq(rho, 1), A)[0],
+    )
+
+
+def same(expr, want) -> bool:
+    return sympy.simplify(expr - want) == 0
+
+
+def test_the_price_map_is_the_documented_one():
+    d = derived()
+    assert same(d.rho, beta * pi * R_K / (1 - beta + beta * pi))
+    assert same(d.gamma, beta * (1 - pi) * D / (1 - beta + beta * pi))
+    assert X not in (d.rho.free_symbols | d.gamma.free_symbols)
+
+
+def test_the_closed_forms_are_the_documented_ones():
+    d = derived()
+    assert same(d.balanced, (1 - beta * pi * R_K) / (beta * (1 - pi)))
+    assert same(d.land_rate, 1 / beta)
+    assert same(d.low, (1 - beta) / beta + delta)
+    assert same(d.high, (1 - beta) / (beta * pi) + delta)
+
+
+def test_the_long_run_rate_is_continuous_at_both_cutoffs():
+    # longrun_rate takes the steady state's rate where one exists and rho
+    # where none does: at the upper cutoff rho and the balanced rate are both
+    # 1, and at the lower one the balanced rate meets the land-only 1/beta
+    d = derived()
+    assert same(d.rho.subs(A, d.high), 1)
+    assert same(d.balanced.subs(A, d.high), 1)
+    assert same(d.balanced.subs(A, d.low), d.land_rate)
+
+
+# --- the library against the derived expressions, exactly ---------------------
+
+
+def exact(expr, **values: float) -> Fraction:
+    """expr at the doubles given, evaluated in exact rationals."""
+    at = {sympy.Symbol(k, positive=True): sympy.Rational(v) for k, v in values.items()}
+    r = expr.xreplace(at)
+    return Fraction(int(r.p), int(r.q))
+
+
+def ulps(got: float, want: Fraction) -> Fraction:
+    """|got - want| in units of the last place of the double nearest want."""
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+
+
+@st.composite
+def calibrations(draw):
+    """A calibration whose productivity lies between the lower cutoff and
+    twice the upper one."""
+    pi_ = draw(st.floats(0.02, 0.98))
+    beta_ = draw(st.floats(0.5, 0.99))
+    delta_ = draw(st.floats(0.01, 1.0))
+    low, high = thresholds(SimpleNamespace(pi=pi_, beta=beta_, delta=delta_))
+    a = low + draw(st.floats(0.0, 1.0)) * (2.0 * high - low)
+    return BareBonesParams(pi_, beta_, delta_, a, rent=1.0)
+
+
+@PROPERTY
+@given(calibrations())
+def test_the_library_is_within_a_few_roundings_of_the_derived_forms(p):
+    d = derived()
+    at = dict(pi=p.pi, beta=p.beta, delta=p.delta, A=p.productivity)
+    th = thresholds(p)
+    # 1 - beta is exact for beta >= 1/2, and every other step rounds once
+    # on positive operands: two roundings in low, three in high
+    assert ulps(th.low, exact(d.low, **at)) <= 2
+    assert ulps(th.high, exact(d.high, **at)) <= 3
+    # seven roundings; with A at or above the lower cutoff,
+    # A + 1 - delta >= 1/beta > 1 cancels nothing
+    assert ulps(price_slope(p), exact(d.rho, **at)) <= 8
+    # 1 - m, m = beta pi (A+1-delta), may cancel down to 0, so this bound is
+    # absolute: each of about five roundings costs at most u (m + |1 - m|)
+    # over beta (1 - pi)
+    m = exact(beta * pi * R_K, **at)
+    scale = U * (m + abs(1 - m)) / (Fraction(p.beta) * (1 - Fraction(p.pi)))
+    assert abs(Fraction(balanced_rate(p)) - exact(d.balanced, **at)) <= 6 * scale

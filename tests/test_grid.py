@@ -3,6 +3,7 @@ functions at each of its points, bit for bit, and a grid that fails names
 its first bad point."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from bubblelab import (  # noqa: E402
     run_sweep_values,
     samuelson_equilibria,
     steady_state,
-    threshold_values,
     thresholds,
     tirole_crowdin_steady,
 )
@@ -135,14 +135,14 @@ def sweeps(draw, model: str, key: str):
     ranges = SWEEPABLE[model][1]
     o = {k: draw(st.floats(*r)) for k, r in ranges.items() if r is not None}
     if key == "productivity":
-        low, high = threshold_values(o["pi"], o["beta"], o["delta"])
+        low, high = thresholds(SimpleNamespace(**o))
         u = st.floats(0.0, 2.0).map(lambda x: x * high)
         edges = [low, high, math.nextafter(high, 0.0), math.nextafter(high, 3.0)]
         point = st.one_of(u, st.sampled_from(edges))
         points = draw(st.lists(point, min_size=1, max_size=25))
     else:
         if model == "barebones":
-            low, high = threshold_values(o["pi"], o["beta"], o["delta"])
+            low, high = thresholds(SimpleNamespace(**o))
             o["productivity"] = draw(st.floats(0.0, 2.0)) * high
         points = draw(st.lists(st.floats(*ranges[key]), min_size=1, max_size=25))
     o.pop(key, None)
@@ -227,4 +227,7 @@ def test_a_grid_one_ulp_below_the_upper_threshold_has_no_steady_state_there():
     ]
     assert np.isnan(cols["steady_price"][1:]).all()
     assert np.isnan(cols["steady_rate"][1:]).all()
-    assert cols["longrun_rate"][1] == 1.0
+    # no steady state exists at the edge, so its long-run rate is the slope
+    # rho (0.9999999999999998 there), not the balanced rate 1.0 beside it
+    p = BareBonesParams(pi=0.1, beta=0.95, delta=0.08, productivity=edge, rent=1.0)
+    assert cols["longrun_rate"][1] == price_slope(p) < 1.0

@@ -7,6 +7,7 @@ equal array for array, including at the bubble threshold, where a slope
 within the unit tolerance of 1 steps as exactly 1."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bubblelab import (  # noqa: E402
     simulate_regime_switch,
     simulate_timevarying,
     steady_state,
-    threshold_values,
+    thresholds,
 )
 from bubblelab.cli import main  # noqa: E402
 
@@ -49,7 +50,7 @@ def full_investment_params(draw):
     pi = draw(st.floats(0.05, 0.95))
     beta = draw(st.floats(0.5, 0.99))
     delta = draw(st.floats(0.02, 1.0))
-    low, high = threshold_values(pi, beta, delta)
+    low, high = thresholds(SimpleNamespace(pi=pi, beta=beta, delta=delta))
     if draw(st.booleans()):
         a = high
         steps = draw(st.integers(-3, 3))
@@ -74,7 +75,7 @@ def test_timevarying_with_constant_sequences_is_simulate_forward(p, w0, h):
 @PROPERTY
 @given(shock=full_investment_params(), data=st.data())
 def test_regime_switch_window_is_simulate_forward(shock, data):
-    low, high = threshold_values(shock.pi, shock.beta, shock.delta)
+    low, high = thresholds(shock)
     base = BareBonesParams(
         pi=shock.pi,
         beta=shock.beta,

@@ -1,9 +1,12 @@
 """Properties over random draws: the land economy's necessity condition is
-its bubble verdict, and every scenario the model schemas admit survives a
-trip through the serializer and the parser unchanged."""
+its bubble verdict, ``affine_path`` stays within its rounding bound of the
+exact rational recurrence, and every scenario the model schemas admit
+survives a trip through the serializer and the parser unchanged."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,12 +18,14 @@ from bubblelab import (  # noqa: E402
     ExplicitSeq,
     GeometricSeq,
     PolynomialSeq,
+    balanced_rate,
     classify_regime,
     parse_scenarios,
+    price_slope,
     serialize_scenario,
-    threshold_values,
+    thresholds,
 )
-from bubblelab.recur import MIN_TERMS  # noqa: E402
+from bubblelab.recur import MIN_TERMS, UNIT_SLOPE_TOL, affine_path  # noqa: E402
 from bubblelab.scenarios import MODELS, Scenario  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -36,7 +41,7 @@ def land_params(draw):
     pi = draw(st.floats(0.02, 0.98))
     beta = draw(st.floats(0.5, 0.99))
     delta = draw(st.floats(0.01, 1.0))
-    low, high = threshold_values(pi, beta, delta)
+    low, high = thresholds(SimpleNamespace(pi=pi, beta=beta, delta=delta))
     edge = st.sampled_from([low, high])
     productivity = draw(
         st.one_of(
@@ -56,6 +61,76 @@ def land_params(draw):
 def test_necessity_holds_exactly_when_the_regime_is_bubbly(p):
     regime = classify_regime(p)
     assert regime.necessity.holds == regime.has_bubble, regime
+
+
+@PROPERTY
+@given(land_params())
+def test_necessity_is_the_max_formula_bit_for_bit(p):
+    # G was max(1, rho) with a rho within the unit tolerance of 1 counted as
+    # 1; it now reads the regime (rho when bubbly, else 1), which keeps its
+    # bits because the land-only and balanced regimes have rho < 1
+    rho = price_slope(p)
+    g = 1.0 if abs(rho - 1.0) <= UNIT_SLOPE_TOL else max(1.0, rho)
+    got = classify_regime(p).necessity
+    assert [x.hex() for x in got] == [x.hex() for x in (balanced_rate(p), 1.0, g)]
+
+
+# --- affine_path against the exact recurrence ---------------------------------
+
+
+@st.composite
+def affine_cases(draw):
+    """Nonnegative coefficients, each a drawn scalar or one seeded uniform
+    value per step, some of them zero."""
+    horizon = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+
+    def coefficient(top: float):
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, top))
+        return np.where(rng.random(horizon) < 0.05, 0.0, rng.uniform(0.0, top, horizon))
+
+    slope, drift = coefficient(1.02), coefficient(1e3)
+    return slope, drift, draw(st.floats(0.0, 1e3)), horizon
+
+
+def dyadic(v: float) -> tuple[int, int]:
+    """(n, s) with v = n / 2**s exactly."""
+    n, d = v.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def within_rounding_bound(got: float, n: int, s: int, t: int) -> bool:
+    """|got - x| <= gamma_2t x + 2 t 1.03**t 2**-1075 for x = n / 2**s, in
+    integers scaled by 2**k: gamma_2t = 2tu / (1 - 2tu) = 2t / (2**53 - 2t)."""
+    g, sg = dyadic(got)
+    k = max(s, sg, 1075)
+    g, x = g << (k - sg), n << (k - s)
+    underflow = math.ceil(2 * t * 1.03**t) << (k - 1075)
+    d = 2**53 - 2 * t
+    return abs(g - x) * d <= 2 * t * x + underflow * d
+
+
+@PROPERTY
+@given(affine_cases())
+def test_affine_path_is_within_its_rounding_bound_of_the_exact_recurrence(case):
+    # each step rounds a product and a sum of nonnegative terms, so nothing
+    # cancels and x_t carries at most 2t roundings: |x_t - exact_t| is within
+    # gamma_2t = 2tu / (1 - 2tu) of exact_t. A product that underflows adds
+    # at most 2**-1075 more, grown by at most 1.03 in each later step. The
+    # exact x_t = n / 2**s is stepped in integers over the same doubles.
+    slope, drift, initial, horizon = case
+    got = affine_path(slope, drift, initial, horizon).tolist()
+    assert got[0] == initial
+    n, s = dyadic(initial)
+    steps = (np.broadcast_to(v, horizon).tolist() for v in (slope, drift))
+    for t, (a, c) in enumerate(zip(*steps), 1):
+        (na, sa), (nc, sc) = dyadic(a), dyadic(c)
+        n, s = n * na, s + sa
+        if sc > s:
+            n, s = n << (sc - s), sc
+        n += nc << (s - sc)
+        assert within_rounding_bound(got[t], n, s, t), (t, got[t])
 
 
 # --- parse(serialize(scenario)) is the scenario -------------------------------

@@ -19,7 +19,6 @@ from bubblelab import (
     recur,
     scenarios,
     sequences,
-    threshold_values,
     thresholds,
     tirole,
     valuation,
@@ -54,8 +53,8 @@ EXPORTS = (
     "savings_identity_residual", "samuelson_price_path",
     "serialize_scenario", "simulate_forward", "simulate_from_price",
     "simulate_regime_switch", "simulate_timevarying", "solve_affine",
-    "steady_path", "steady_state", "threshold_values", "thresholds",
-    "timevarying_threshold", "tirole_crowdin_steady", "tirole_steady",
+    "steady_path", "steady_state", "thresholds", "timevarying_threshold",
+    "tirole_crowdin_steady", "tirole_steady",
     "truncation_identity_residuals", "weil_sample_path",
     "weil_stationary_price", "wilson_bubble_test", "wilson_path",
     "yield_test",
@@ -128,8 +127,9 @@ def test_records_are_immutable_named_tuples(cls):
 
 def test_records_unpack_by_position():
     p = cp(0.7)
-    low, high = thresholds(p)
-    assert (low, high) == threshold_values(p.pi, p.beta, p.delta)
+    th = thresholds(p)
+    low, high = th
+    assert (low, high) == (th.low, th.high)
     kind, necessity = classify_regime(p)
     assert kind is barebones.RegimeKind.BUBBLY_UNBALANCED and necessity.holds
     j, w_switch, path = construct_equilibrium(p, 2.0, 50)

@@ -3,6 +3,7 @@ barebones equilibria, whichever way they were built and whatever the
 window length."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bubblelab import (  # noqa: E402
     no_arbitrage_residuals,
     simulate_from_price,
     simulate_regime_switch,
-    threshold_values,
+    thresholds,
     truncation_identity_residuals,
 )
 
@@ -34,7 +35,7 @@ def barebones_equilibria(draw):
     pi = draw(st.floats(0.05, 0.95))
     beta = draw(st.floats(0.5, 0.99))
     delta = draw(st.floats(0.02, 1.0))
-    low, high = threshold_values(pi, beta, delta)
+    low, high = thresholds(SimpleNamespace(pi=pi, beta=beta, delta=delta))
     p = BareBonesParams(
         pi=pi,
         beta=beta,
