@@ -39,7 +39,7 @@ _EXPORTS = {
     "paths": ("EquilibriumPath", "gross_rates"),
     "recur": (
         "AffineRecurrence", "SeriesClass", "SeriesKind", "classify_series",
-        "classify_series_exact", "iterate_affine", "solve_affine", "yield_test",
+        "classify_series_exact", "solve_affine", "yield_test",
     ),
     "scenarios": (
         "RunError", "RunResult", "Scenario", "ScenarioError", "list_models",

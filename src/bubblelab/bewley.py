@@ -137,6 +137,5 @@ def bewley_validate(p: BewleyParams, horizon: int = 1000, tol: float = 1e-10) ->
     return {
         "max_rich_residual": worst_rich,
         "min_poor_slack": worst_poor,
-        "transversality_factor": p.beta * p.growth ** (1.0 - p.gamma),
         "periods": horizon,
     }

@@ -73,7 +73,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         selected = [by_name[n] for n in args.names]
     else:
         selected = scenarios
-    stdout_open = True
     for sc in selected:
         try:
             result = run_scenario(
@@ -81,14 +80,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         except (RunError, ConstructionError, ValueError, ArithmeticError) as e:
             raise RunError(f"{args.file} [{sc.name}]: {e}") from e
-        if stdout_open:
-            try:
-                for f in result.files:
-                    print(f"wrote {f}")
-            except BrokenPipeError:
-                # the reader is gone: the rest of the run writes its files
-                # without saying so
-                stdout_open = False
+        for f in result.files:
+            _say(f"wrote {f}")
     return 0
 
 
@@ -96,9 +89,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenarios = load_scenarios(args.file)
     for sc in scenarios:
         kind = f"sweep over {sc.sweep}" if sc.is_sweep else "run"
-        print(f"ok: [{sc.name}] {sc.model} ({kind})")
-    print(f"{args.file}: {len(scenarios)} scenario(s) valid")
+        _say(f"ok: [{sc.name}] {sc.model} ({kind})")
+    _say(f"{args.file}: {len(scenarios)} scenario(s) valid")
     return 0
+
+
+def _say(line: str) -> None:
+    """Print ``line``; a reader that has gone away is no error."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        pass
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,12 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "list-models":
-            print(list_models(), end="")
+            _say(list_models().removesuffix("\n"))
             return 0
-    except BrokenPipeError:
-        # stdout's reader is gone: validate and list-models stop printing;
-        # run catches its own and finishes every scenario
-        return 0
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import AffineRecurrence, affine_path
+from .recur import affine_path
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,6 @@ def young_demand(p: SamuelsonParams, price_now: float, price_next: float) -> flo
     return (1.0 - p.beta) * (p.young_endow + (price_now / price_next) * p.old_endow)
 
 
-def inverse_price_recurrence(p: SamuelsonParams, p0: float) -> AffineRecurrence:
-    """Market clearing in the linear variable x_t = 1/P_t:
-    x_{t+1} = (beta*a / ((1-beta)*b)) x_t - 1/((1-beta)*b)."""
-    ob = (1.0 - p.beta) * p.old_endow
-    return AffineRecurrence(
-        slope=p.beta * p.young_endow / ob, drift=-1.0 / ob, initial=1.0 / p0
-    )
-
-
 def samuelson_price_path(
     p: SamuelsonParams, p0: float, horizon: int
 ) -> EquilibriumPath:
@@ -113,8 +104,12 @@ def samuelson_price_path(
         raise ValueError(
             f"p0 must lie in (0, {eq.stationary_price}], got {p0}"
         )
-    rec = inverse_price_recurrence(p, p0)
-    price = 1.0 / affine_path(rec.slope, rec.drift, rec.initial, horizon)
+    # market clearing in x_t = 1/P_t: x_{t+1} = (beta*a*x_t - 1) / ((1-beta)*b)
+    ob = (1.0 - p.beta) * p.old_endow
+    slope, drift = p.beta * p.young_endow / ob, -1.0 / ob
+    if math.isinf(slope) or math.isinf(drift):
+        raise ValueError(f"the map of 1/P overflows: slope {slope}, drift {drift}")
+    price = 1.0 / affine_path(slope, drift, 1.0 / p0, horizon)
     zero = np.flatnonzero(price == 0.0)
     if zero.size:
         raise ValueError(

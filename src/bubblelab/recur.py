@@ -6,7 +6,8 @@ Every model in this package eventually reduces to iterating
 
 in some transformed variable: inverse prices, wealth levels, price-rent
 ratios. This module holds that recurrence once: ``affine_path`` is the one
-kernel that steps it, and ``solve_affine`` its closed form.
+kernel that steps it. ``AffineRecurrence`` and ``solve_affine``, its closed
+form, are kept as the oracle the benchmark checks simulated prices against.
 
 Beside them sits the one bubble criterion the models share: a price with
 positive dividends carries a bubble iff the dividend yields sum,
@@ -15,9 +16,9 @@ sum D_t / P_t < infinity (Montrucchio, Economic Theory 2004).
 when the yields' tail is known in closed form, otherwise from the terms
 themselves (``classify_series``).
 
-``NecessityTriple`` is the one record of the Bubble Necessity Theorem's
+``NecessityTriple`` is the record of the Bubble Necessity Theorem's
 ordering R < G_d < G (fundamental rate, dividend growth, economy growth)
-that the land economy and Wilson's economy both report.
+that the land economy's ``classify_regime`` reports.
 
 The series classifier is deliberately honest about what a finite sample can
 show. A geometric tail ratio bounded away from one is decisive either way;
@@ -63,13 +64,6 @@ class AffineRecurrence:
     def unit_slope(self) -> bool:
         return abs(self.slope - 1.0) <= UNIT_SLOPE_TOL
 
-    @property
-    def fixed_point(self) -> float | None:
-        """drift / (1 - slope), or None on the unit-slope boundary."""
-        if self.unit_slope:
-            return None
-        return self.drift / (1.0 - self.slope)
-
 
 def solve_affine(rec: AffineRecurrence, t: int) -> float:
     """Value of the recurrence after t steps, in closed form.
@@ -114,12 +108,6 @@ def _steps(v, horizon: int) -> Iterable[float]:
     if v.ndim == 0:
         return repeat(float(v), horizon)
     return np.broadcast_to(v, (horizon,)).tolist()
-
-
-def iterate_affine(rec: AffineRecurrence, horizon: int) -> np.ndarray:
-    """Step-by-step trajectory x_0..x_horizon (the oracle for solve_affine)."""
-    slope = 1.0 if rec.unit_slope else rec.slope
-    return affine_path(slope, rec.drift, rec.initial, horizon)
 
 
 MIN_TERMS = 100   # the fewest terms ``classify_series`` decides from

@@ -892,7 +892,7 @@ MODELS: dict[str, ModelSpec] = {
             "require_feasible": Opt("bool", default=True),
         },
         params=lambda o: _land_params(
-            o, o["productivity"].value(0), o["rent"].value(0)
+            o, float(o["productivity"].values(1)[0]), float(o["rent"].values(1)[0])
         ),
         run=_run_barebones_timevarying,
         columns=_BB_COLUMNS, path_columns=_LAND_PATH_COLUMNS,

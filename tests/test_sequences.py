@@ -16,24 +16,24 @@ from bubblelab.sequences import (
 
 def test_geometric_values():
     g = GeometricSeq(scale=2.0, ratio=1.5)
-    assert g.value(0) == 2.0
-    assert g.value(3) == pytest.approx(2.0 * 1.5**3)
+    assert g.values(1)[0] == 2.0
+    assert g.values(4)[3] == pytest.approx(2.0 * 1.5**3)
     assert list(g.values(4)) == pytest.approx([2.0, 3.0, 4.5, 6.75])
 
 
 def test_polynomial_values():
     p = PolynomialSeq(scale=3.0, power=-2.0)
     # evaluates scale * (1+t)**power so negative powers stay finite at t=0
-    assert p.value(0) == 3.0
-    assert p.value(1) == pytest.approx(0.75)
+    assert p.values(1)[0] == 3.0
+    assert p.values(2)[1] == pytest.approx(0.75)
     assert list(p.values(2)) == pytest.approx([3.0, 0.75])
 
 
 def test_explicit_bounds():
     e = ExplicitSeq((1.0, 2.0, 3.0))
-    assert e.value(2) == 3.0
-    with pytest.raises(ValueError):
-        e.value(3)
+    assert e.values(3)[2] == 3.0
+    with pytest.raises(ValueError, match="explicit sequence has 3 entries, 4 requested"):
+        e.values(4)
     with pytest.raises(ValueError):
         ExplicitSeq(())
 
@@ -45,7 +45,7 @@ def test_constant_is_unit_ratio_geometric():
     assert list(c.values(3)) == [4.0, 4.0, 4.0]
     # zero level is allowed (used for absent productivity)
     z = constant(0.0)
-    assert z.value(5) == 0.0
+    assert z.values(6)[5] == 0.0
 
 
 def test_always_positive():
