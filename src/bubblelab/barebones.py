@@ -513,6 +513,8 @@ def simulate_regime_switch(
         )
     if not (p_shock.productivity > th.low):
         raise ValueError("shock productivity must exceed the lower threshold")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if not (0 <= t_on <= t_off <= horizon + 1):
         raise ValueError("need 0 <= t_on <= t_off <= horizon + 1")
 

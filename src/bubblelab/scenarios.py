@@ -551,7 +551,7 @@ def _barebones_grid(o: dict) -> dict[str, np.ndarray]:
 
 def _tirole_grid(o: dict) -> dict[str, np.ndarray]:
     p = _param_arrays(o, (*_TIROLE, "entrepreneur_prob"), entrepreneur_prob=1.0)
-    k_f = tirole._fundamental_capital(p, p.entrepreneur_prob)
+    k_f = tirole._fundamental_capital(p)
     bubbly = tirole._bubble_margin(p) > 1.0
     q = _rows(p, bubbly)
     k_b, price = np.full((2, k_f.size), math.nan)
@@ -561,7 +561,7 @@ def _tirole_grid(o: dict) -> dict[str, np.ndarray]:
     crowding[bubbly] = np.where(k_b[bubbly] > k_f[bubbly], "in", "out")
     return {
         "k_fundamental": k_f,
-        "r_fundamental": tirole._fundamental_rate(p, p.entrepreneur_prob),
+        "r_fundamental": tirole._fundamental_rate(p),
         "k_bubbly": k_b,
         "bubble_price": price,
         "crowding": crowding,

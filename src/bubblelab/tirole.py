@@ -16,9 +16,9 @@ technology; the rest can only store (at 1 - delta) or, if it exists, buy
 the asset. Without the asset only the entrepreneurs' savings become
 capital, so K_f = [beta*A*(1-alpha)*pi^alpha]^(1/(1-alpha)). With it, the
 asset hands non-entrepreneurs a return of 1, entrepreneurs hold all the
-capital, and R(K_b) = 1 pins the same K_b as before. For small pi the
-bubble then raises capital: K_b > K_f (crowding in). The crossover pi is
-found by bisection.
+capital, and R(K_b) = 1 pins the same K_b as before. K_f(pi) = K_b at
+pi* = margin^(-1/alpha) in closed form, margin = beta*delta*(1-alpha)/alpha:
+the bubble crowds capital in below pi* (K_b > K_f) and out above it.
 """
 
 from __future__ import annotations
@@ -110,26 +110,25 @@ def tirole_steady(p: TiroleParams) -> TiroleSteadyStates:
     return tirole_crowdin_steady(p)
 
 
-def _fundamental_capital(p: TiroleParams, pi: float) -> float:
+def _fundamental_capital(p: TiroleParams) -> float:
     # only the entrepreneurs' savings become capital
     return _pow(
-        p.beta * p.tfp * (1.0 - p.alpha) * _pow(pi, p.alpha),
+        p.beta * p.tfp * (1.0 - p.alpha) * _pow(p.entrepreneur_prob, p.alpha),
         1.0 / (1.0 - p.alpha),
     )
 
 
-def _fundamental_rate(p: TiroleParams, pi: float) -> float:
+def _fundamental_rate(p: TiroleParams) -> float:
     # marginal product of productive capital
-    return p.alpha / (p.beta * pi * (1.0 - p.alpha)) + 1.0 - p.delta
+    return p.alpha / (p.beta * p.entrepreneur_prob * (1.0 - p.alpha)) + 1.0 - p.delta
 
 
 def tirole_crowdin_steady(p: TiroleParams) -> TiroleSteadyStates:
     """Steady states with limited participation (pi <= 1). The fundamental
     rate reported is the marginal product of productive capital,
     alpha/(beta*pi*(1-alpha)) + 1 - delta."""
-    pi = p.entrepreneur_prob
-    k_f = _fundamental_capital(p, pi)
-    r_f = _fundamental_rate(p, pi)
+    k_f = _fundamental_capital(p)
+    r_f = _fundamental_rate(p)
     bub = _bubbly_steady(p)
     crowding = None
     if bub is not None:
@@ -139,30 +138,17 @@ def tirole_crowdin_steady(p: TiroleParams) -> TiroleSteadyStates:
     )
 
 
-def crossover_pi(p: TiroleParams, tol: float = 1e-10) -> float:
+def crossover_pi(p: TiroleParams) -> float:
     """Participation level at which crowding flips: the pi solving
-    K_f(pi) = K_b, located by bisection on [1e-6, 1].
+    K_f(pi) = K_b, which is margin^(-1/alpha).
 
-    Exists only when the bubbly steady state does (then K_f(1) > K_b and
-    K_f(pi) -> 0 as pi -> 0). Raises otherwise.
+    Exists only when the bubbly steady state does (margin > 1, so that
+    K_f(1) > K_b and the crossover lies in (0, 1)). Raises otherwise.
     """
-    bub = _bubbly_steady(p)
-    if bub is None:
+    margin = _bubble_margin(p)
+    if margin <= 1.0:
         raise ValueError("no bubbly steady state, so no crowding crossover")
-
-    def gap(pi: float) -> float:
-        return _fundamental_capital(p, pi) - bub.capital
-
-    lo, hi = 1e-6, 1.0
-    if gap(lo) >= 0.0 or gap(hi) <= 0.0:
-        raise ValueError("crossover does not bracket inside [1e-6, 1]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return margin ** (-1.0 / p.alpha)
 
 
 def savings_identity_residual(p: TiroleParams) -> float:

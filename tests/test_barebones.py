@@ -463,6 +463,9 @@ def test_switch_validation():
         simulate_regime_switch(cp(0.4), cp(0.5), 11, 1, 50)
     with pytest.raises(ValueError):
         simulate_regime_switch(cp(0.4), cp(0.5), 0, 60, 50)
+    for t_off, horizon in ((1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            simulate_regime_switch(cp(0.4), cp(0.5), 0, t_off, horizon)
 
 
 def test_timevarying_constant_inputs_match_forward():

@@ -12,6 +12,14 @@ t-1, give the price map P_t = rho P_{t-1} + gamma. Its fixed point prices
 land at the balanced rate (P + D) / P. Land alone (K = 0, P X = beta W)
 earns 1/beta. The upper cutoff is where rho = 1; the lower one is where
 capital's return A + 1 - delta equals the land-only rate.
+
+Tirole's capital economy has the gross return R(K) = A alpha K^(alpha-1)
++ 1 - delta and the wage w(K) = A (1-alpha) K^alpha. The bubble earns 1, so
+R(K_b) = 1 pins its capital, and it absorbs the saving left over:
+P_b = beta w(K_b) - K_b. Without it every young agent saves into capital,
+K_f = beta w(K_f), earning r_f = R(K_f). With a share pi of entrepreneurs
+the documented K_f(pi) = (beta A (1-alpha) pi^alpha)^(1/(1-alpha)) meets K_b
+at the crowding crossover pi*.
 """
 
 import functools
@@ -23,10 +31,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bubblelab import BareBonesParams, balanced_rate, price_slope, thresholds  # noqa: E402
+from bubblelab import TiroleParams, tirole  # noqa: E402
+from tests.test_tirole import crossover_error  # noqa: E402
 
 beta, pi, delta, A, D, X = sympy.symbols("beta pi delta A D X", positive=True)
 P_prev, P, W, C, K_next = sympy.symbols("P_prev P W C K_next", positive=True)
@@ -136,3 +146,79 @@ def test_the_library_is_within_a_few_roundings_of_the_derived_forms(p):
     m = exact(beta * pi * R_K, **at)
     scale = U * (m + abs(1 - m)) / (Fraction(p.beta) * (1 - Fraction(p.pi)))
     assert abs(Fraction(balanced_rate(p)) - exact(d.balanced, **at)) <= 6 * scale
+
+
+# --- Tirole's steady states and crowding crossover ----------------------------
+
+alpha, K, s = sympy.symbols("alpha K s", positive=True)
+R_capital = A * alpha * K ** (alpha - 1) + 1 - delta
+wage = A * (1 - alpha) * K**alpha
+
+
+def same_for_a_capital_share(expr, want) -> bool:
+    """expr == want for every alpha in (0, 1), written as 1/(1+s) with
+    s > 0: sympy knows only that alpha is positive, and with alpha < 1 as
+    well every base in these forms is positive, so powers may be split and
+    merged."""
+    ratio = (expr / want).subs(alpha, 1 / (1 + s))
+    ratio = sympy.powsimp(sympy.expand_power_base(ratio, force=True), force=True)
+    return sympy.simplify(sympy.powdenest(ratio, force=True)) == 1
+
+
+def library(formula, *args, participation=pi):
+    """The library's formula, evaluated on symbols, its float constants made
+    rational."""
+    p = SimpleNamespace(
+        beta=beta, alpha=alpha, delta=delta, tfp=A, entrepreneur_prob=participation
+    )
+    return sympy.nsimplify(formula(p, *args), rational=True)
+
+
+def test_tiroles_primitives_are_the_librarys():
+    assert same(library(tirole.capital_rate, K), R_capital)
+    assert same(library(tirole.wage, K), wage)
+
+
+def test_tiroles_closed_forms_are_the_librarys():
+    (k_b,) = sympy.solve(sympy.Eq(R_capital, 1), K)
+    assert same_for_a_capital_share(library(tirole._bubbly_capital), k_b)
+    price = beta * wage.subs(K, k_b) - k_b
+    lib_price = library(lambda p: tirole._bubble_price(p, tirole._bubbly_capital(p)))
+    assert same_for_a_capital_share(lib_price, price)
+
+    (k_f,) = sympy.solve(sympy.Eq(K, beta * wage), K)
+    assert same_for_a_capital_share(
+        library(tirole._fundamental_capital, participation=1), k_f
+    )
+    assert same_for_a_capital_share(
+        library(tirole._fundamental_rate, participation=1), R_capital.subs(K, k_f)
+    )
+
+    k_f_of_pi = (beta * A * (1 - alpha) * pi**alpha) ** (1 / (1 - alpha))
+    assert same(library(tirole._fundamental_capital), k_f_of_pi)
+    (crossover,) = sympy.solve(sympy.Eq(k_f_of_pi, k_b), pi)
+    # crossover_pi is margin^(-1/alpha) behind a margin > 1 guard that
+    # symbols cannot pass; the drawn doubles below run it
+    margin = library(tirole._bubble_margin)
+    assert same_for_a_capital_share(margin ** (-1 / alpha), crossover)
+
+
+@st.composite
+def bubbly_capital_economies(draw):
+    """A Tirole economy with a bubbly steady state. Its margin is below
+    0.99 * 0.98 / 0.02 = 48.51 and alpha at least 0.02, so its crossover,
+    margin^(-1/alpha), exceeds 48.51^-50 > 1e-85: a normal double."""
+    p = TiroleParams(
+        beta=draw(st.floats(0.5, 0.99)),
+        alpha=draw(st.floats(0.02, 0.6)),
+        delta=draw(st.floats(0.05, 1.0)),
+        tfp=1.0,
+    )
+    assume(tirole._bubble_margin(p) > 1.0)
+    return p
+
+
+@PROPERTY
+@given(bubbly_capital_economies())
+def test_the_crossover_is_within_its_rounding_bound(p):
+    assert crossover_error(p) <= 1.0

@@ -278,6 +278,18 @@ def test_run_tirole_without_bubbly_steady_state(tmp_path):
     }
 
 
+def test_run_tirole_crowdin_with_a_crossover_below_one_millionth(tmp_path):
+    ini = tmp_path / "c.ini"
+    ini.write_text(
+        "[c]\nmodel = tirole_crowdin\nbeta = 0.95\nalpha = 0.1\ndelta = 0.6\n"
+        "tfp = 1.0\nentrepreneur_prob = 0.5\n"
+    )
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 0
+    summary = (tmp_path / "o" / "c_summary.txt").read_text().splitlines()
+    assert "crowding = out" in summary
+    assert "crossover_prob = 7.92184514959e-08" in summary
+
+
 def test_run_bewley_reports_nonexistence(tmp_path):
     sc = one(
         "[b]\nmodel = bewley\nbeta = 0.4\ngamma = 1.0\ngrowth = 1.0\n"

@@ -23,6 +23,23 @@ MARGIN = 0.95 * 0.6 * 2.0  # beta*delta*(1-alpha)/alpha
 BUBBLE_PRICE = K_BUBBLE * (MARGIN - 1.0)
 
 
+def crossover_error(p: TiroleParams) -> float:
+    """|crossover_pi(p) / pi* - 1| over ((4 + |ln margin|)/alpha + 1) * 2**-53,
+    with pi* = margin^(-1/alpha) to 60 digits from the exact binary inputs.
+
+    The bound: margin = beta*delta*(1-alpha)/alpha rounds at most four times
+    and -1/alpha once; the power amplifies the first by 1/alpha and the
+    second by |ln margin|/alpha, and rounds once itself.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        beta, alpha, delta = map(mpmath.mpf, (p.beta, p.alpha, p.delta))
+        margin = beta * delta * (1 - alpha) / alpha
+        exact = margin ** (-1 / alpha)
+        err = float(abs(mpmath.mpf(crossover_pi(p)) / exact - 1))
+    return err / (((4.0 + abs(float(mpmath.log(margin)))) / p.alpha + 1.0) * 2.0**-53)
+
+
 def test_fundamental_steady_state():
     ss = tirole_steady(P)
     assert ss.k_fundamental == pytest.approx(K_FUND, rel=1e-14)
@@ -103,15 +120,14 @@ def test_crowdin_rate_formula():
 
 def test_crossover_matches_closed_form():
     # K_f(pi) = K_b has the closed form pi* = [alpha/(beta delta (1-alpha))]^(1/alpha)
-    got = crossover_pi(P, tol=1e-12)
-    expected = ((1 / 3) / (0.95 * 0.6 * (2 / 3))) ** 3.0
-    assert got == pytest.approx(expected, abs=1e-8)
+    got = crossover_pi(P)
+    assert crossover_error(P) <= 1.0
     # capital stocks actually cross there
     lo = tirole_crowdin_steady(
-        TiroleParams(0.95, 1 / 3, 0.6, 1.0, entrepreneur_prob=expected * 0.9)
+        TiroleParams(0.95, 1 / 3, 0.6, 1.0, entrepreneur_prob=got * 0.9)
     )
     hi = tirole_crowdin_steady(
-        TiroleParams(0.95, 1 / 3, 0.6, 1.0, entrepreneur_prob=min(1.0, expected * 1.1))
+        TiroleParams(0.95, 1 / 3, 0.6, 1.0, entrepreneur_prob=min(1.0, got * 1.1))
     )
     assert lo.crowding == "in"
     assert hi.crowding == "out"
@@ -128,12 +144,17 @@ def test_crossover_on_random_draws():
         margin = beta * delta * (1.0 - alpha) / alpha
         if margin <= 1.0:
             continue
-        expected = (alpha / (beta * delta * (1.0 - alpha))) ** (1.0 / alpha)
-        if not (1e-5 < expected < 1.0):
-            continue
         found += 1
-        assert crossover_pi(p, tol=1e-12) == pytest.approx(expected, abs=1e-8)
+        assert crossover_error(p) <= 1.0
     assert found >= 10
+
+
+def test_crossover_far_below_one_millionth():
+    # a bubbly economy that crowds capital out, with pi* = 5.13^-10 = 7.9e-08
+    p = TiroleParams(beta=0.95, alpha=0.1, delta=0.6, tfp=1.0, entrepreneur_prob=0.5)
+    assert tirole_crowdin_steady(p).crowding == "out"
+    assert crossover_error(p) <= 1.0
+    assert crossover_pi(p) == pytest.approx(5.13**-10, rel=1e-14)
 
 
 def test_requires_full_participation_for_baseline():
