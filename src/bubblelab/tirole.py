@@ -143,12 +143,16 @@ def crossover_pi(p: TiroleParams) -> float:
     K_f(pi) = K_b, which is margin^(-1/alpha).
 
     Exists only when the bubbly steady state does (margin > 1, so that
-    K_f(1) > K_b and the crossover lies in (0, 1)). Raises otherwise.
+    K_f(1) > K_b and the crossover lies in (0, 1)). Raises otherwise, and
+    when pi* underflows below the smallest normal double.
     """
     margin = _bubble_margin(p)
     if margin <= 1.0:
         raise ValueError("no bubbly steady state, so no crowding crossover")
-    return margin ** (-1.0 / p.alpha)
+    pi_star = margin ** (-1.0 / p.alpha)
+    if pi_star < np.finfo(float).tiny:
+        raise ValueError(f"pi* = {margin}^(-1/{p.alpha}) is below the normal doubles")
+    return pi_star
 
 
 def savings_identity_residual(p: TiroleParams) -> float:

@@ -31,12 +31,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bubblelab import BareBonesParams, balanced_rate, price_slope, thresholds  # noqa: E402
-from bubblelab import TiroleParams, tirole  # noqa: E402
-from tests.test_tirole import crossover_error  # noqa: E402
+from bubblelab import tirole  # noqa: E402
 
 beta, pi, delta, A, D, X = sympy.symbols("beta pi delta A D X", positive=True)
 P_prev, P, W, C, K_next = sympy.symbols("P_prev P W C K_next", positive=True)
@@ -197,28 +196,8 @@ def test_tiroles_closed_forms_are_the_librarys():
     k_f_of_pi = (beta * A * (1 - alpha) * pi**alpha) ** (1 / (1 - alpha))
     assert same(library(tirole._fundamental_capital), k_f_of_pi)
     (crossover,) = sympy.solve(sympy.Eq(k_f_of_pi, k_b), pi)
-    # crossover_pi is margin^(-1/alpha) behind a margin > 1 guard that
-    # symbols cannot pass; the drawn doubles below run it
+    # crossover_pi is margin^(-1/alpha) behind guards that symbols cannot
+    # pass; test_tirole runs it at drawn doubles
     margin = library(tirole._bubble_margin)
     assert same_for_a_capital_share(margin ** (-1 / alpha), crossover)
 
-
-@st.composite
-def bubbly_capital_economies(draw):
-    """A Tirole economy with a bubbly steady state. Its margin is below
-    0.99 * 0.98 / 0.02 = 48.51 and alpha at least 0.02, so its crossover,
-    margin^(-1/alpha), exceeds 48.51^-50 > 1e-85: a normal double."""
-    p = TiroleParams(
-        beta=draw(st.floats(0.5, 0.99)),
-        alpha=draw(st.floats(0.02, 0.6)),
-        delta=draw(st.floats(0.05, 1.0)),
-        tfp=1.0,
-    )
-    assume(tirole._bubble_margin(p) > 1.0)
-    return p
-
-
-@PROPERTY
-@given(bubbly_capital_economies())
-def test_the_crossover_is_within_its_rounding_bound(p):
-    assert crossover_error(p) <= 1.0

@@ -290,6 +290,18 @@ def test_run_tirole_crowdin_with_a_crossover_below_one_millionth(tmp_path):
     assert "crossover_prob = 7.92184514959e-08" in summary
 
 
+def test_run_tirole_crowdin_fails_when_the_crossover_underflows(tmp_path, capsys):
+    # margin 113.43 at alpha 0.005: pi* = e^-946 is below every double
+    ini = tmp_path / "c.ini"
+    ini.write_text(
+        "[c]\nmodel = tirole_crowdin\nbeta = 0.95\nalpha = 0.005\ndelta = 0.6\n"
+        "tfp = 1.0\nentrepreneur_prob = 0.5\n"
+    )
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "is below the normal doubles" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "c_summary.txt").exists()
+
+
 def test_run_bewley_reports_nonexistence(tmp_path):
     sc = one(
         "[b]\nmodel = bewley\nbeta = 0.4\ngamma = 1.0\ngrowth = 1.0\n"

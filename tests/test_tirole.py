@@ -1,7 +1,9 @@
 """Capital OLG steady states: crowd-out baseline and crowd-in variant."""
 
-import numpy as np
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bubblelab.tirole import (
     TiroleParams,
@@ -31,7 +33,6 @@ def crossover_error(p: TiroleParams) -> float:
     and -1/alpha once; the power amplifies the first by 1/alpha and the
     second by |ln margin|/alpha, and rounds once itself.
     """
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         beta, alpha, delta = map(mpmath.mpf, (p.beta, p.alpha, p.delta))
         margin = beta * delta * (1 - alpha) / alpha
@@ -133,20 +134,26 @@ def test_crossover_matches_closed_form():
     assert hi.crowding == "out"
 
 
-def test_crossover_on_random_draws():
-    rng = np.random.default_rng(5)
-    found = 0
-    for _ in range(50):
-        beta = rng.uniform(0.6, 0.99)
-        alpha = rng.uniform(0.15, 0.45)
-        delta = rng.uniform(0.3, 1.0)
-        p = TiroleParams(beta=beta, alpha=alpha, delta=delta, tfp=rng.uniform(0.5, 2.0))
-        margin = beta * delta * (1.0 - alpha) / alpha
-        if margin <= 1.0:
-            continue
-        found += 1
-        assert crossover_error(p) <= 1.0
-    assert found >= 10
+@st.composite
+def bubbly_capital_economies(draw):
+    """A Tirole economy with a bubbly steady state. Its margin is below
+    0.99 * 0.98 / 0.02 = 48.51 and alpha at least 0.02, so its crossover,
+    margin^(-1/alpha), exceeds 48.51^-50 > 1e-85: a normal double. Neither
+    tfp nor pi enters the crossover."""
+    p = TiroleParams(
+        beta=draw(st.floats(0.5, 0.99)),
+        alpha=draw(st.floats(0.02, 0.6)),
+        delta=draw(st.floats(0.05, 1.0)),
+        tfp=1.0,
+    )
+    assume(p.beta * p.delta * (1.0 - p.alpha) / p.alpha > 1.0)
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bubbly_capital_economies())
+def test_crossover_on_random_draws(p):
+    assert crossover_error(p) <= 1.0
 
 
 def test_crossover_far_below_one_millionth():
@@ -155,6 +162,15 @@ def test_crossover_far_below_one_millionth():
     assert tirole_crowdin_steady(p).crowding == "out"
     assert crossover_error(p) <= 1.0
     assert crossover_pi(p) == pytest.approx(5.13**-10, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.005, 0.0063])
+def test_crossover_below_the_normal_doubles_raises(alpha):
+    # margin^(-1/alpha) is 0.0 at alpha 0.005 and 7.5e-311, a subnormal
+    # whose printed digits would be wrong, at alpha 0.0063
+    p = TiroleParams(beta=0.95, alpha=alpha, delta=0.6, tfp=1.0, entrepreneur_prob=0.5)
+    with pytest.raises(ValueError, match="is below the normal doubles"):
+        crossover_pi(p)
 
 
 def test_requires_full_participation_for_baseline():
