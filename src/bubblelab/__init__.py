@@ -23,9 +23,9 @@ _EXPORTS = {
         "FeasibilityError", "Regime", "RegimeKind", "SteadyState", "Thresholds",
         "TimeVaryingResult", "balanced_rate", "capital_return", "classify_regime",
         "construct_equilibrium", "longrun_rate", "min_wealth", "price_drift",
-        "price_recurrence", "price_slope", "simulate_forward",
-        "simulate_from_price", "simulate_regime_switch", "simulate_timevarying",
-        "steady_path", "steady_state", "thresholds", "timevarying_threshold",
+        "price_recurrence", "price_slope", "simulate_from_price",
+        "simulate_regime_switch", "simulate_timevarying", "steady_path",
+        "steady_state", "thresholds", "timevarying_threshold",
     ),
     "bewley": (
         "BewleyEquilibrium", "BewleyParams", "bewley_path", "bewley_price",

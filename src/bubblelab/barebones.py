@@ -211,6 +211,13 @@ def _balanced_price(p: BareBonesParams, rate: float) -> float:
     return p.rent / (rate - 1.0)
 
 
+def _wealth_at_price(p: BareBonesParams, p0: float) -> float:
+    """Full-investment wealth whose land price is p0: W = p0 X / (beta (1-pi))."""
+    if not (p0 > 0.0):
+        raise ValueError("p0 must be positive")
+    return p0 * p.land_supply / (p.beta * (1.0 - p.pi))
+
+
 def steady_state(p: BareBonesParams) -> SteadyState | None:
     """The unique steady state, which exists only in the land-only and
     fundamental balanced regimes of ``classify_regime``; None otherwise. At
@@ -231,7 +238,7 @@ def steady_state(p: BareBonesParams) -> SteadyState | None:
         return None
     rate = balanced_rate(p)
     price = _balanced_price(p, rate)
-    wealth = price * p.land_supply / (p.beta * (1.0 - p.pi))
+    wealth = _wealth_at_price(p, price)
     return SteadyState(
         regime=kind,
         rate=rate,
@@ -319,50 +326,15 @@ def _require_investment(p: BareBonesParams, what: str) -> None:
         raise ValueError(f"{what} needs productivity > {low}, got {p.productivity}")
 
 
-def simulate_forward(
-    p: BareBonesParams, w0: float, horizon: int, require_feasible: bool = True
-) -> EquilibriumPath:
-    """Full-investment path from initial wealth w0.
-
-    Requires productivity above the lower threshold (otherwise phi = pi is
-    not an equilibrium). Starts below the feasibility bound are rejected
-    unless ``require_feasible`` is off, in which case the path is produced
-    and flagged (early land returns then exceed the capital return).
-    """
-    _require_investment(p, "full investment")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not (w0 > 0.0):
-        raise ValueError("w0 must be positive")
-    bound = min_wealth(p)
-    feasible = w0 >= bound
-    if require_feasible and not feasible:
-        raise FeasibilityError(
-            f"initial wealth {w0} is below the feasibility bound {bound}; "
-            "land would outperform capital in early periods"
-        )
-    n = horizon + 1
-    path = _land_path(
-        p,
-        _wealth_path(p, p.productivity, p.rent, w0, horizon),
-        np.full(n, p.rent),
-        np.full(n, p.pi),
-    )
-    path.meta["feasible"] = feasible
-    return path
-
-
 def simulate_from_price(
     p: BareBonesParams, p0: float, horizon: int, require_feasible: bool = False
 ) -> EquilibriumPath:
-    """Full-investment path started from a land price level instead of
-    wealth (w0 = p0 X / (beta (1-pi))). Feasibility is reported, not
-    enforced, by default: this is the entry point for price-map iteration
-    exercises whose starting price may sit below the bound."""
-    if not (p0 > 0.0):
-        raise ValueError("p0 must be positive")
-    w0 = p0 * p.land_supply / (p.beta * (1.0 - p.pi))
-    return simulate_forward(p, w0, horizon, require_feasible=require_feasible)
+    """Constant-parameter full-investment path started from a land price
+    level instead of wealth. Feasibility is not enforced by default: this is
+    the entry point for price-map iteration exercises whose starting price
+    may sit below the bound."""
+    w0 = _wealth_at_price(p, p0)
+    return simulate_timevarying(p, w0, horizon, require_feasible=require_feasible).path
 
 
 def steady_path(p: BareBonesParams, horizon: int) -> EquilibriumPath:
@@ -388,6 +360,7 @@ class ConstructedEquilibrium(NamedTuple):
     prephase_length: int       # j: periods of interior phi before full investment
     w_switch: float            # wealth at the switch to full investment
     path: EquilibriumPath      # re-indexed so the economy starts at t = 0
+    prephase_rate_residual: float  # largest pre-phase |land - capital return|
 
 
 def construct_equilibrium(
@@ -477,8 +450,9 @@ def construct_equilibrium(
     if pre_end > 0:
         resid = float(np.max(np.abs(path.rate[:pre_end] - rk)))
         path.rate[:pre_end] = rk   # interior shares equalize the returns exactly
-    path.meta["prephase_rate_residual"] = resid
-    return ConstructedEquilibrium(prephase_length=j, w_switch=w0, path=path)
+    return ConstructedEquilibrium(
+        prephase_length=j, w_switch=w0, path=path, prephase_rate_residual=resid
+    )
 
 
 # --- productivity shocks and time variation ------------------------------
@@ -570,15 +544,17 @@ def simulate_timevarying(
     rent: Sequence | None = None,
     require_feasible: bool = True,
 ) -> TimeVaryingResult:
-    """Full-investment dynamics with productivity and rent sequences.
+    """Full-investment dynamics from initial wealth w0, with productivity
+    and rent sequences (each held at its ``p`` value when not given).
 
     Wealth obeys (1-beta+beta pi) W_t = beta pi (A_t+1-delta) W_{t-1} + D_t X.
-    The full-investment condition is checked as R_t <= A_{t+1} + 1 - delta
-    (capital bought at t pays at t+1); violations raise unless
-    ``require_feasible`` is off, in which case they are reported. A wealth
-    slope within the unit tolerance of 1 steps as exactly 1, as in
-    ``simulate_forward``, so with constant sequences the path equals
-    ``simulate_forward``'s bit for bit.
+    Without a productivity sequence, productivity must exceed the lower
+    threshold: parameters held constant below it never admit full
+    investment. The full-investment condition is checked as
+    R_t <= A_{t+1} + 1 - delta (capital bought at t pays at t+1); violations
+    raise unless ``require_feasible`` is off, in which case they are
+    reported. A wealth slope within the unit tolerance of 1 steps as exactly
+    1, as ``classify_regime`` reads it.
 
     The bubble verdict is ``recur.yield_test`` on the yields D_t / P_t.
     With generator sequences it is exact, from the limit L of the price-rent
@@ -588,6 +564,8 @@ def simulate_timevarying(
     bubble. Explicit sequences, and a slope that only tends to 1, are
     judged on the path's own yields.
     """
+    if productivity is None:
+        _require_investment(p, "full investment")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if not (w0 > 0.0):

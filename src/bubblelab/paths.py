@@ -12,11 +12,10 @@ the NaN never propagates.
 matching the savings identity K_{t+1} + P_t X = beta * W_t row by row.
 
 ``meta`` holds only what a builder finds while it builds the path:
-``feasible`` (``simulate_forward``), ``prephase_rate_residual``
-(``construct_equilibrium``), ``arbitrage_violations``
-(``simulate_regime_switch``), and ``collapse_time`` with
-``mean_collapse_time`` (``weil_sample_path``). Inputs and closed forms are
-read from their own functions, not from the path.
+``arbitrage_violations`` (``simulate_regime_switch``), and
+``collapse_time`` with ``mean_collapse_time`` (``weil_sample_path``).
+Inputs and closed forms are read from their own functions, not from the
+path.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ class EquilibriumPath:
     them wealth W_t, capital K_{t+1} and investment share phi_t.
 
     ``meta`` carries what the builder found, and nothing else:
-    - ``feasible`` (``simulate_forward``): the start clears the wealth floor;
-    - ``prephase_rate_residual`` (``construct_equilibrium``): the largest
-      pre-phase gap between the land and capital returns;
     - ``arbitrage_violations`` (``simulate_regime_switch``): the periods
       whose land return beats capital's;
     - ``collapse_time`` and ``mean_collapse_time`` (``weil_sample_path``):

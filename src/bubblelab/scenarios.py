@@ -694,23 +694,19 @@ def _run_barebones(p, o: dict) -> _ModelOutput:
     summary = _land_summary(p, o)
     p0, w0, horizon = o.get("p0"), o.get("w0"), o["horizon"]
     if p0 is not None:
-        path = barebones.simulate_from_price(
-            p, p0, horizon, require_feasible=o["require_feasible"]
-        )
-    elif w0 is not None:
-        path = barebones.simulate_forward(
+        w0 = barebones._wealth_at_price(p, p0)
+    if w0 is not None:
+        res = barebones.simulate_timevarying(
             p, w0, horizon, require_feasible=o["require_feasible"]
         )
-    elif "steady_price" not in summary:
+        summary["w_bound"] = barebones.min_wealth(p)
+        summary["feasible"] = not res.violations
+        return _ModelOutput(summary, res.path)
+    if "steady_price" not in summary:
         raise RunError(
             "no steady state: the price-map slope is at or above 1; give p0 or w0"
         )
-    else:
-        path = barebones.steady_path(p, horizon)
-    if "feasible" in path.meta:
-        summary["w_bound"] = barebones.min_wealth(p)
-        summary["feasible"] = path.meta["feasible"]
-    return _ModelOutput(summary, path)
+    return _ModelOutput(summary, barebones.steady_path(p, horizon))
 
 
 def _run_barebones_construct(p, o: dict) -> _ModelOutput:
@@ -719,9 +715,7 @@ def _run_barebones_construct(p, o: dict) -> _ModelOutput:
     summary["prephase_length"] = built.prephase_length
     summary["w_switch"] = built.w_switch
     summary["w_bound"] = barebones.min_wealth(p)
-    summary["prephase_rate_residual"] = built.path.meta[
-        "prephase_rate_residual"
-    ]
+    summary["prephase_rate_residual"] = built.prephase_rate_residual
     return _ModelOutput(summary, built.path)
 
 

@@ -38,7 +38,6 @@ from bubblelab import (
     samuelson_equilibria,
     samuelson_price_path,
     savings_identity_residual,
-    simulate_forward,
     simulate_from_price,
     simulate_regime_switch,
     simulate_timevarying,
@@ -268,7 +267,7 @@ def test_08_detector_equivalence_on_random_draws():
 
 @guarantee(9, "value decomposition: bubble share above, zero bubble below")
 def test_09_value_decomposition_both_regimes():
-    bubbly = simulate_forward(cp(0.7), w0=30.0, horizon=600)
+    bubbly = simulate_timevarying(cp(0.7), w0=30.0, horizon=600).path
     rep = fundamental_value(bubbly, truncation=300)
     assert rep.verdict == "bubbly"
     last = rep.fundamental.size - 1

@@ -39,7 +39,6 @@ from bubblelab import (
     price_drift,
     price_recurrence,
     price_slope,
-    simulate_forward,
     simulate_from_price,
     simulate_regime_switch,
     simulate_timevarying,
@@ -127,6 +126,11 @@ def test_land_only_steady_state():
         assert ss.capital == 0.0
         assert ss.phi == 0.0
         assert not ss.phi_indeterminate
+    # W = D X / (1 - beta): two units of land double the wealth; the price
+    # per unit is beta D / (1 - beta) whatever X is
+    two = steady_state(cp(0.1, land_supply=2.0))
+    assert two.wealth == pytest.approx(40.0, rel=1e-14)
+    assert two.price == pytest.approx(19.0, rel=1e-14)
     # at the cutoff investors are indifferent and the split is a convention
     p_edge = cp(thresholds(cp(0.4)).low)
     assert steady_state(p_edge).phi_indeterminate
@@ -194,25 +198,34 @@ def test_feasibility_enforcement():
     p = cp(0.7)
     bound = min_wealth(p)
     with pytest.raises(FeasibilityError):
-        simulate_forward(p, w0=bound * (1.0 - 1e-6), horizon=10)
+        simulate_timevarying(p, w0=bound * (1.0 - 1e-6), horizon=10)
     # at the floor the land return starts exactly at the capital return
-    path = simulate_forward(p, w0=bound, horizon=10)
-    assert path.meta["feasible"]
-    assert path.rate[0] == pytest.approx(capital_return(p), rel=1e-12)
-    # opt-out produces the path but flags it, and early land returns
+    res = simulate_timevarying(p, w0=bound, horizon=10)
+    assert res.violations == ()
+    assert res.path.rate[0] == pytest.approx(capital_return(p), rel=1e-12)
+    # opt-out produces the path but reports it, and early land returns
     # exceed what capital pays
-    low = simulate_forward(p, w0=5.0, horizon=10, require_feasible=False)
-    assert not low.meta["feasible"]
-    assert low.rate[0] > capital_return(p)
+    low = simulate_timevarying(p, w0=5.0, horizon=10, require_feasible=False)
+    assert low.violations[0] == 0
+    assert low.path.rate[0] > capital_return(p)
 
 
 def test_simulate_forward_validation():
+    # held constant below threshold_low, capital is dominated: no start
+    # admits full investment, whether feasibility is enforced or not
+    refusal = r"full investment needs productivity > 0\.13263"
+    with pytest.raises(ValueError, match=refusal):
+        simulate_timevarying(cp(0.1), w0=50.0, horizon=10, require_feasible=False)
+    with pytest.raises(ValueError, match=refusal):
+        simulate_from_price(cp(0.1), p0=5.0, horizon=10)
+    # a given sequence is judged by its arbitrage violations alone: from
+    # w0 = 50 wealth falls until land outruns capital at t = 7
+    res = simulate_timevarying(cp(0.1), 50.0, 10, constant(0.1), require_feasible=False)
+    assert res.violations == (7, 8, 9)
     with pytest.raises(ValueError):
-        simulate_forward(cp(0.1), w0=50.0, horizon=10)  # below lower cutoff
+        simulate_timevarying(cp(0.4), w0=-1.0, horizon=10)
     with pytest.raises(ValueError):
-        simulate_forward(cp(0.4), w0=-1.0, horizon=10)
-    with pytest.raises(ValueError):
-        simulate_forward(cp(0.4), w0=50.0, horizon=0)
+        simulate_timevarying(cp(0.4), w0=50.0, horizon=0)
     with pytest.raises(ValueError):
         simulate_from_price(cp(0.4), p0=0.0, horizon=10)
 
@@ -239,12 +252,15 @@ def test_path_identities_balanced_region():
     p = cp(0.4)
     path = simulate_from_price(p, p0=5.0, horizon=200)
     _check_accounting(p, path)
-    assert not path.meta["feasible"]  # 5/0.855 sits below the wealth floor
+    # the price start is wealth p0 X / (beta (1-pi)) = 5/0.855, below the floor
+    res = simulate_timevarying(p, 5.0 / (0.95 * 0.9), 200, require_feasible=False)
+    assert np.array_equal(res.path.price, path.price)
+    assert res.violations[0] == 0
 
 
 def test_path_identities_bubbly_region():
     p = cp(0.7)
-    path = simulate_forward(p, w0=30.0, horizon=200)
+    path = simulate_timevarying(p, w0=30.0, horizon=200).path
     _check_accounting(p, path)
 
 
@@ -296,7 +312,7 @@ def test_boundary_productivity_gives_linear_growth():
     p = cp(thresholds(cp(0.4)).high)
     rec = price_recurrence(p, p0=1.0)
     assert rec.unit_slope
-    path = simulate_forward(p, w0=20.0, horizon=100)
+    path = simulate_timevarying(p, w0=20.0, horizon=100).path
     # unit slope: wealth and price climb by a constant step each period
     steps_w = np.diff(path.wealth)
     steps_p = np.diff(path.price)
@@ -330,7 +346,7 @@ def _check_constructed(p: BareBonesParams, eq, horizon: int) -> None:
     # both assets pay the capital return during the pre-phase
     upto = min(j, horizon)
     assert np.all(path.rate[:upto] == rk)
-    assert path.meta["prephase_rate_residual"] <= 1e-10
+    assert eq.prephase_rate_residual <= 1e-10
     # wealth grows at beta * Rk while shares are interior
     if upto > 0:
         growth = path.wealth[1 : upto + 1] / path.wealth[:upto]
@@ -378,6 +394,14 @@ def test_construct_short_horizon_inside_prephase():
         assert eq.path.price.size == j
         growth = eq.path.wealth[1:] / eq.path.wealth[:-1]
         assert np.allclose(growth, 0.95 * capital_return(p), rtol=1e-10)
+    # from k0 = 0 at A = 0.7 the pre-phase lasts j = 2 periods; horizon 1
+    # ends inside it, so rate[0] is the only pre-phase rate, and the last
+    # rate has no t+1 observation
+    eq = construct_equilibrium(cp(0.7), k0=0.0, horizon=1)
+    assert eq.prephase_length == 2
+    assert eq.path.rate[0] == capital_return(cp(0.7))
+    assert np.isnan(eq.path.rate[-1])
+    assert np.isfinite(eq.prephase_rate_residual)
 
 
 def test_construct_scan_failure_reports_diagnostics():
@@ -471,7 +495,7 @@ def test_switch_validation():
 def test_timevarying_constant_inputs_match_forward():
     p = cp(0.4)
     res = simulate_timevarying(p, w0=SS_WEALTH, horizon=50)
-    ref = simulate_forward(p, w0=SS_WEALTH, horizon=50)
+    ref = steady_path(p, horizon=50)
     assert np.allclose(res.path.price, ref.price, rtol=1e-14)
     assert np.allclose(res.path.wealth, ref.wealth, rtol=1e-14)
     assert res.violations == ()

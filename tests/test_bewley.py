@@ -35,6 +35,12 @@ def test_existence_needs_discounted_growth_below_one():
     assert 0.9 * 1.3**0.5 > 1.0
     eq = bewley_price(p)
     assert not eq.exists
+    # on the boundary: beta G^(1-gamma) = 0.5 * 0.5^-1 is exactly 1.0, and
+    # the endowments alone would allow a price
+    p = BewleyParams(beta=0.5, gamma=2.0, growth=0.5, rich_endow=2.0, poor_endow=1.0)
+    assert 0.5 * 0.5 ** (1.0 - 2.0) == 1.0
+    eq = bewley_price(p)
+    assert not eq.exists and "does not shrink" in eq.reason
 
 
 def test_path_grows_at_common_rate():

@@ -17,8 +17,8 @@ from bubblelab import (
     csvio,
     fundamental_value,
     gross_rates,
-    simulate_forward,
     simulate_from_price,
+    simulate_timevarying,
     steady_path,
 )
 
@@ -300,7 +300,8 @@ def test_path_with_constant_columns_matches_reference():
     balanced = BareBonesParams(pi=0.1, beta=0.95, delta=0.08, productivity=0.4, rent=1.0)
     columns = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield",
                "V", "bubble")
-    for path in (simulate_forward(bubbly, 20.0, 300), steady_path(balanced, 300)):
+    bubbly_path = simulate_timevarying(bubbly, 20.0, 300).path
+    for path in (bubbly_path, steady_path(balanced, 300)):
         assert np.all(path.dividend == 1.0) and np.all(path.phi == path.phi[0])
         report = fundamental_value(path, 120)
         assert report.fundamental.size < len(path)

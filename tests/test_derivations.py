@@ -11,7 +11,9 @@ with K_t = beta pi W_{t-1} and P_{t-1} X = beta (1-pi) W_{t-1} from period
 t-1, give the price map P_t = rho P_{t-1} + gamma. Its fixed point prices
 land at the balanced rate (P + D) / P. Land alone (K = 0, P X = beta W)
 earns 1/beta. The upper cutoff is where rho = 1; the lower one is where
-capital's return A + 1 - delta equals the land-only rate.
+capital's return A + 1 - delta equals the land-only rate. Land bought at
+wealth W returns R(W) = (P_{t+1} + D) / P_t on the price map; the wealth
+floor is where R(W) meets capital's return.
 
 Tirole's capital economy has the gross return R(K) = A alpha K^(alpha-1)
 + 1 - delta and the wage w(K) = A (1-alpha) K^alpha. The bubble earns 1, so
@@ -22,6 +24,7 @@ the documented K_f(pi) = (beta A (1-alpha) pi^alpha)^(1/(1-alpha)) meets K_b
 at the crowding crossover pi*.
 """
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -34,7 +37,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bubblelab import BareBonesParams, balanced_rate, price_slope, thresholds  # noqa: E402
+from bubblelab import BareBonesParams, balanced_rate, min_wealth  # noqa: E402
+from bubblelab import price_slope, simulate_timevarying, thresholds  # noqa: E402
 from bubblelab import tirole  # noqa: E402
 
 beta, pi, delta, A, D, X = sympy.symbols("beta pi delta A D X", positive=True)
@@ -89,6 +93,25 @@ def test_the_closed_forms_are_the_documented_ones():
     assert same(d.high, (1 - beta) / (beta * pi) + delta)
 
 
+def test_the_wealth_floor_is_where_land_stops_outrunning_capital():
+    d = derived()
+    w = sympy.Symbol("w", positive=True)
+    price = beta * (1 - pi) * w / X
+    land_return = (d.rho * price + d.gamma + D) / price
+    split = 1 - beta + beta * pi
+    assert same(land_return, d.rho + D * X / (split * beta * (1 - pi) * w))
+    # R falls in W (beta and pi in (0, 1) written as 1/(1+v) and 1/(1+u)),
+    # so a start at the floor keeps land's return at or below capital's
+    u, v = sympy.symbols("u v", positive=True)
+    slope = sympy.diff(land_return, w).subs({beta: 1 / (1 + v), pi: 1 / (1 + u)})
+    assert sympy.simplify(slope).is_negative
+    (floor,) = sympy.solve(sympy.Eq(land_return, R_K), w)
+    p = SimpleNamespace(
+        beta=beta, pi=pi, delta=delta, productivity=A, rent=D, land_supply=X
+    )
+    assert same(sympy.nsimplify(min_wealth(p), rational=True), floor)
+
+
 def test_the_long_run_rate_is_continuous_at_both_cutoffs():
     # longrun_rate takes the steady state's rate where one exists and rho
     # where none does: at the upper cutoff rho and the balanced rate are both
@@ -115,14 +138,15 @@ def ulps(got: float, want: Fraction) -> Fraction:
 
 
 @st.composite
-def calibrations(draw):
+def calibrations(draw, above: float = 0.0):
     """A calibration whose productivity lies between the lower cutoff and
-    twice the upper one."""
+    twice the upper one, at least the share ``above`` of that range above
+    the cutoff."""
     pi_ = draw(st.floats(0.02, 0.98))
     beta_ = draw(st.floats(0.5, 0.99))
     delta_ = draw(st.floats(0.01, 1.0))
     low, high = thresholds(SimpleNamespace(pi=pi_, beta=beta_, delta=delta_))
-    a = low + draw(st.floats(0.0, 1.0)) * (2.0 * high - low)
+    a = low + draw(st.floats(above, 1.0)) * (2.0 * high - low)
     return BareBonesParams(pi_, beta_, delta_, a, rent=1.0)
 
 
@@ -145,6 +169,25 @@ def test_the_library_is_within_a_few_roundings_of_the_derived_forms(p):
     m = exact(beta * pi * R_K, **at)
     scale = U * (m + abs(1 - m)) / (Fraction(p.beta) * (1 - Fraction(p.pi)))
     assert abs(Fraction(balanced_rate(p)) - exact(d.balanced, **at)) <= 6 * scale
+
+
+@PROPERTY
+@given(
+    calibrations(above=0.01),
+    st.floats(0.1, 5.0),
+    st.floats(0.1, 5.0),
+    st.integers(1, 200),
+)
+def test_full_investment_is_feasible_from_the_wealth_floor_up(p, rent, land, h):
+    # land's return at the floor is capital's, and 1e-9 of the floor moves it
+    # by (1 - beta) / (1 - beta + beta pi) * 1e-9 of capital's return, at
+    # least 1e-11: well outside the violation test's 1e-12 slack
+    p = dataclasses.replace(p, rent=rent, land_supply=land)
+    floor = min_wealth(p)
+    above = simulate_timevarying(p, floor * (1 + 1e-9), h, require_feasible=False)
+    assert above.violations == ()
+    below = simulate_timevarying(p, floor * (1 - 1e-9), h, require_feasible=False)
+    assert below.violations[:1] == (0,)
 
 
 # --- Tirole's steady states and crowding crossover ----------------------------

@@ -1,10 +1,12 @@
-"""The land economy's four full-investment path builders agree bit for bit.
+"""The land economy's three full-investment path builders agree bit for bit.
 
-``simulate_forward``, ``construct_equilibrium`` (after its switch),
-``simulate_regime_switch`` and ``simulate_timevarying`` step the same
-wealth recurrence, so wherever their inputs coincide their paths must be
-equal array for array, including at the bubble threshold, where a slope
-within the unit tolerance of 1 steps as exactly 1."""
+``simulate_timevarying``, ``construct_equilibrium`` (after its switch) and
+``simulate_regime_switch`` step the same wealth recurrence, so wherever
+their inputs coincide their paths must be equal array for array, including
+at the bubble threshold, where a slope within the unit tolerance of 1 steps
+as exactly 1. The reference is ``simulate_timevarying`` at constant
+parameters, which steps per-period coefficient arrays; the construction's
+tail steps scalar coefficients."""
 
 import math
 from types import SimpleNamespace
@@ -22,7 +24,6 @@ from bubblelab import (  # noqa: E402
     classify_regime,
     constant,
     construct_equilibrium,
-    simulate_forward,
     simulate_regime_switch,
     simulate_timevarying,
     steady_state,
@@ -32,6 +33,11 @@ from bubblelab.cli import main  # noqa: E402
 
 FIELDS = ("price", "dividend", "rate", "wealth", "capital", "phi")
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def simulate_forward(p: BareBonesParams, w0: float, h: int):
+    """The reference: the constant-parameter full-investment path."""
+    return simulate_timevarying(p, w0, h, require_feasible=False).path
 
 
 def assert_same_path(got, want, start: int = 0) -> None:
@@ -69,7 +75,7 @@ def test_timevarying_with_constant_sequences_is_simulate_forward(p, w0, h):
     res = simulate_timevarying(
         p, w0, h, constant(p.productivity), constant(p.rent), require_feasible=False
     )
-    assert_same_path(res.path, simulate_forward(p, w0, h, require_feasible=False))
+    assert_same_path(res.path, simulate_forward(p, w0, h))
 
 
 @PROPERTY
@@ -86,10 +92,10 @@ def test_regime_switch_window_is_simulate_forward(shock, data):
     h = data.draw(st.integers(1, 600))
     w_base = steady_state(base).wealth
     whole = simulate_regime_switch(base, shock, 0, h + 1, h)
-    assert_same_path(whole, simulate_forward(shock, w_base, h, require_feasible=False))
+    assert_same_path(whole, simulate_forward(shock, w_base, h))
     t = data.draw(st.integers(0, h + 1))
     empty = simulate_regime_switch(base, shock, t, t, h)
-    assert_same_path(empty, simulate_forward(base, w_base, h, require_feasible=False))
+    assert_same_path(empty, simulate_forward(base, w_base, h))
 
 
 @PROPERTY
@@ -103,10 +109,10 @@ def test_construct_after_switch_is_simulate_forward(p, k0, h):
     built = construct_equilibrium(p, k0, h)
     j = built.prephase_length
     if j < h:
-        tail = simulate_forward(p, built.w_switch, h - j, require_feasible=False)
+        tail = simulate_forward(p, built.w_switch, h - j)
         assert_same_path(built.path, tail, start=j)
     elif j == h:
-        # a one-point tail: simulate_forward refuses horizon 0
+        # a one-point tail: no builder steps horizon 0
         assert built.path.wealth[h] == built.w_switch
 
 

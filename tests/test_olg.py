@@ -182,6 +182,8 @@ def test_weil_sample_path_structure():
     assert path.rate[: ct - 1] == pytest.approx(np.ones(ct - 1))
     assert path.rate[ct - 1] == 0.0
     assert np.all(np.isnan(path.rate[ct:]))
+    # the shortest path: t = 0 and t = 1
+    assert len(weil_sample_path(W, seed=3, horizon=1)) == 2
 
 
 def test_weil_sample_paths_are_seed_deterministic():

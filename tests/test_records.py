@@ -51,7 +51,7 @@ EXPORTS = (
     "parse_scenarios", "price_drift", "price_recurrence", "price_slope",
     "run_scenario", "run_sweep_values", "samuelson_equilibria",
     "savings_identity_residual", "samuelson_price_path",
-    "serialize_scenario", "simulate_forward", "simulate_from_price",
+    "serialize_scenario", "simulate_from_price",
     "simulate_regime_switch", "simulate_timevarying", "solve_affine",
     "steady_path", "steady_state", "thresholds", "timevarying_threshold",
     "tirole_crowdin_steady", "tirole_steady",
@@ -132,8 +132,8 @@ def test_records_unpack_by_position():
     assert (low, high) == (th.low, th.high)
     kind, necessity = classify_regime(p)
     assert kind is barebones.RegimeKind.BUBBLY_UNBALANCED and necessity.holds
-    j, w_switch, path = construct_equilibrium(p, 2.0, 50)
-    assert path.wealth[j] == w_switch
+    j, w_switch, path, residual = construct_equilibrium(p, 2.0, 50)
+    assert path.wealth[j] == w_switch and residual <= 1e-10
     kind, tail_ratio = classify_series_exact(0.5)
     assert (kind, tail_ratio) == (recur.SeriesKind.CONVERGENT, 0.5)
     rate, dividend_growth, economy_growth = necessity
@@ -148,16 +148,12 @@ def test_records_unpack_by_position():
 # it finds while building (inputs and closed forms are read from their own
 # functions instead)
 _BUILDERS = {
-    "simulate_forward": (
-        lambda: barebones.simulate_forward(cp(0.7), 30.0, 10), {"feasible"}
-    ),
     "simulate_from_price": (
-        lambda: barebones.simulate_from_price(cp(0.7), 1.0, 10), {"feasible"}
+        lambda: barebones.simulate_from_price(cp(0.7), 1.0, 10), set()
     ),
     "steady_path": (lambda: barebones.steady_path(cp(0.4), 10), set()),
     "construct_equilibrium": (
-        lambda: construct_equilibrium(cp(0.7), 2.0, 10).path,
-        {"prephase_rate_residual"},
+        lambda: construct_equilibrium(cp(0.7), 2.0, 10).path, set()
     ),
     "simulate_regime_switch": (
         lambda: barebones.simulate_regime_switch(cp(0.4), cp(0.7), 1, 5, 10),

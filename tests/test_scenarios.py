@@ -678,6 +678,21 @@ def test_cli_run_failure_exits_one(tmp_path, capsys):
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
     assert f"error: {ini} [pr]: " in capsys.readouterr().err
 
+    # a price start below the wealth floor, with feasibility enforced
+    ini.write_text(bb_text("f", 0.7, "p0 = 5\nrequire_feasible = true\n"))
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [f]: land return exceeds the capital return at t = 0; "
+        "full investment is not an equilibrium on this path\n"
+    )
+    # below threshold_low no start admits full investment, enforced or not
+    for start in ("p0 = 5.0\n", "w0 = 50.0\n"):
+        ini.write_text(bb_text("low", 0.1, start + "require_feasible = false\n"))
+        assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ini} [low]: full investment needs productivity > 0.13263"
+        )
+
 
 
 def test_cli_run_exits_one_when_the_output_directory_cannot_be_made(

@@ -20,8 +20,8 @@ from bubblelab import (
     gross_rates,
     no_arbitrage_residuals,
     samuelson_price_path,
-    simulate_forward,
     simulate_from_price,
+    simulate_timevarying,
     steady_path,
     thresholds,
     truncation_identity_residuals,
@@ -54,13 +54,18 @@ def test_discounting_rejects_collapsed_paths():
         discount_factors(path)
     with pytest.raises(ValueError):
         detect_bubble(path)
+    # a bubble that collapses at t = 1: its only rate is a finite 0
+    path = EquilibriumPath(price=[1.0, 0.0], dividend=[0.0, 0.0])
+    assert path.rate[0] == 0.0
+    with pytest.raises(ValueError, match="positive finite rates"):
+        discount_factors(path)
 
 
 def test_no_arbitrage_residuals_on_model_paths():
     paths = [
         samuelson_price_path(SAM, p0=0.5, horizon=200),
         simulate_from_price(cp(0.4), p0=5.0, horizon=300),
-        simulate_forward(cp(0.7), w0=30.0, horizon=300),
+        simulate_timevarying(cp(0.7), w0=30.0, horizon=300).path,
         steady_path(cp(0.4), horizon=50),
     ]
     for path in paths:
@@ -101,7 +106,7 @@ def test_balanced_path_is_all_fundamental():
 
 
 def test_unbalanced_path_carries_a_bubble():
-    path = simulate_forward(cp(0.7), w0=30.0, horizon=1200)
+    path = simulate_timevarying(cp(0.7), w0=30.0, horizon=1200).path
     rep = fundamental_value(path, truncation=400)
     assert rep.verdict == "bubbly"
     assert not rep.infinite_pv
@@ -206,13 +211,15 @@ def test_yield_detection_routes():
     assert det.verdict == "fundamental"
     assert det.series.kind is SeriesKind.DIVERGENT
 
-    bub = simulate_forward(cp(0.7), w0=30.0, horizon=2000)
+    bub = simulate_timevarying(cp(0.7), w0=30.0, horizon=2000).path
     det = detect_bubble(bub)
     assert det.verdict == "bubbly"
     assert det.series.kind is SeriesKind.CONVERGENT
 
     # linear price growth at the cutoff: yields decay like 1/t, divergent
-    edge = simulate_forward(cp(thresholds(cp(0.4)).high), w0=20.0, horizon=2000)
+    edge = simulate_timevarying(
+        cp(thresholds(cp(0.4)).high), w0=20.0, horizon=2000
+    ).path
     assert detect_bubble(edge).verdict == "fundamental"
 
     # pure bubble: the zero yield series converges trivially
@@ -222,14 +229,13 @@ def test_yield_detection_routes():
 
 def test_yield_detection_on_a_short_path_is_inconclusive():
     # 99 yields cannot decide the sum: no verdict, and no error either
-    kind, ratio = detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=99)).series
+    def bubbly(horizon):
+        return simulate_timevarying(cp(0.7), w0=30.0, horizon=horizon).path
+
+    kind, ratio = detect_bubble(bubbly(99)).series
     assert kind is SeriesKind.INCONCLUSIVE and np.isnan(ratio)
-    assert detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=10)).verdict == (
-        "inconclusive"
-    )
-    assert detect_bubble(simulate_forward(cp(0.7), w0=30.0, horizon=100)).verdict == (
-        "bubbly"
-    )
+    assert detect_bubble(bubbly(10)).verdict == "inconclusive"
+    assert detect_bubble(bubbly(100)).verdict == "bubbly"
 
 
 def test_detectors_agree_with_regime_classifier():
@@ -238,7 +244,7 @@ def test_detectors_agree_with_regime_classifier():
     for a in (0.4, 0.7):
         p = cp(a)
         path = (
-            simulate_forward(p, w0=30.0, horizon=1200)
+            simulate_timevarying(p, w0=30.0, horizon=1200).path
             if a == 0.7
             else simulate_from_price(p, p0=5.0, horizon=1200)
         )
