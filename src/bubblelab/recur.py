@@ -89,8 +89,9 @@ def affine_path(slope, drift, initial: float, horizon: int) -> np.ndarray:
     """Trajectory x_0..x_horizon of x_0 = initial, x_t = slope_t x_{t-1} + drift_t.
 
     ``slope`` and ``drift`` are scalars (0-d arrays included) or arrays of
-    length ``horizon`` (entry t-1 drives step t). A scalar is stepped as one
-    repeated Python float, never expanded to ``horizon`` entries. The steps
+    length ``horizon`` (entry t-1 drives step t). A scalar, or an array
+    whose entries all have the same bits, is stepped as one repeated Python
+    float, never expanded to ``horizon`` entries. The steps
     run in Python floats, so an explosive path overflows to inf without a
     numpy warning.
     """
@@ -105,8 +106,9 @@ def affine_path(slope, drift, initial: float, horizon: int) -> np.ndarray:
 def _steps(v, horizon: int) -> Iterable[float]:
     """The ``horizon`` per-step values of a coefficient as Python floats."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        return repeat(float(v), horizon)
+    bits = v.view(np.uint64)
+    if v.size and (bits == bits.flat[0]).all():
+        return repeat(float(v.flat[0]), horizon)
     return np.broadcast_to(v, (horizon,)).tolist()
 
 

@@ -184,16 +184,16 @@ def _sequence(raw: str, where: str) -> Sequence:
     )
 
 
-def _sweep_values(raw: str, where: str) -> tuple[float, ...]:
+def _sweep_values(raw: str, where: str) -> np.ndarray:
     if raw.startswith("[") and raw.endswith("]"):
-        return _float_list(raw, where)
+        return np.array(_float_list(raw, where))
     m = _CALL_RE.match(raw)
     if m and m.group(1) == "linspace":
         lo, hi, n = _call_args(m.group(2), where, 3)
         if n != int(n) or int(n) < 2:
             raise ScenarioError(f"{where}: linspace needs an integer count >= 2")
         try:
-            return tuple(np.linspace(lo, hi, int(n)).tolist())
+            return np.linspace(lo, hi, int(n))
         except (ValueError, MemoryError):
             raise ScenarioError(f"{where}: linspace count {int(n)} is too large") from None
     raise ScenarioError(
@@ -276,12 +276,22 @@ class Scenario(NamedTuple):
     options: dict[str, object]
     columns: tuple[str, ...] | None = None
     sweep: str | None = None
-    sweep_values: tuple[float, ...] | None = None
+    sweep_values: np.ndarray | tuple[float, ...] | None = None
     stats: tuple[str, ...] | None = None
 
     @property
     def is_sweep(self) -> bool:
         return self.sweep is not None
+
+    def _by_value(self) -> tuple:
+        """The fields, the grid as a list so that == compares it by value."""
+        return (*self[:5], np.asarray(self.sweep_values).tolist(), self.stats)
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self._by_value() == other._by_value()
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
@@ -323,6 +333,7 @@ def _typed_scenario(raw: _RawSection, source: str) -> Scenario:
         if "values" not in pairs:
             raise section_error("sweep needs a values key")
         values = _sweep_values(pairs.pop("values"), where("values"))
+        values.flags.writeable = False   # run_sweep_values hands it out uncopied
         if "stats" not in pairs:
             raise section_error("sweep needs a stats key")
         stats = _names(pairs.pop("stats"), where("stats"))
@@ -452,7 +463,9 @@ def serialize_scenario(sc: Scenario) -> str:
     if sc.is_sweep:
         lines.append(f"sweep = {sc.sweep}")
         lines.append(
-            "values = [" + ", ".join(repr(v) for v in sc.sweep_values) + "]"
+            "values = ["
+            + ", ".join(map(repr, np.asarray(sc.sweep_values).tolist()))
+            + "]"
         )
         lines.append("stats = " + ", ".join(sc.stats))
     for key, val in sc.options.items():
@@ -909,14 +922,15 @@ def _sweep_point(sc: Scenario, spec: ModelSpec, v: float) -> None:
 
 def run_sweep_values(
     sc: Scenario,
-) -> tuple[list[float], dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Evaluate a sweep in memory, as whole columns in one grid call: the
-    swept grid plus one array per stat. A failure names the first grid
-    point that fails on its own."""
+    swept grid as a float64 array (the parsed one itself, not a copy) plus
+    one array per stat. A failure names the first grid point that fails on
+    its own."""
     if not sc.is_sweep:
         raise ValueError(f"scenario {sc.name!r} is not a sweep")
     spec = MODELS[sc.model]
-    grid = np.array(sc.sweep_values)
+    grid = np.asarray(sc.sweep_values, dtype=float)
     try:
         # every parameter constraint is an interval and the grid is finite,
         # so its two ends stand for every point
@@ -924,10 +938,10 @@ def run_sweep_values(
             spec.params({**sc.options, sc.sweep: float(v)})
         columns = _evaluate(spec.grid, {**sc.options, sc.sweep: grid})
     except (ValueError, ArithmeticError) as e:
-        for v in sc.sweep_values:
+        for v in grid.tolist():
             _sweep_point(sc, spec, v)
         raise RunError(f"sweep [{sc.name}]: {e}") from e
-    return list(sc.sweep_values), {name: columns[name] for name in sc.stats}
+    return grid, {name: columns[name] for name in sc.stats}
 
 
 class RunResult(NamedTuple):
@@ -1001,8 +1015,7 @@ def run_scenario(
     if sc.is_sweep:
         values, stats = run_sweep_values(sc)
         header = [sc.sweep, *sc.stats]
-        grid = np.array(values, dtype=np.float64)
-        table = [grid, *(stats[name] for name in sc.stats)]
+        table = [values, *(stats[name] for name in sc.stats)]
         sweep_file = out / f"{sc.name}_sweep.csv"
         _write(sweep_file, lambda fh: csvio.write_table_csv(fh, header, table))
         files.append(sweep_file)

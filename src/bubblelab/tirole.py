@@ -73,11 +73,14 @@ def capital_rate(p: TiroleParams, k: float) -> float:
 
 
 def _pow(x, y):
-    """x ** y, elementwise through Python's float pow when either is an
-    array: np.power can differ from it in the last bit."""
+    """x ** y, elementwise through np.float_power when either is an array.
+
+    Every base here is positive and finite. There np.float_power's float64
+    loop calls the C library's pow, as Python's float ** does, so the grid
+    matches the scalar functions bit for bit; np.power's vectorised
+    (AVX-512) loops can round differently in the last bit."""
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        x, y = np.broadcast_arrays(x, y)
-        return np.array(list(map(pow, x.tolist(), y.tolist())), dtype=float)
+        return np.float_power(x, y)
     return x**y
 
 

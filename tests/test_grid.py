@@ -165,7 +165,7 @@ def check_sweep(model: str, key: str, o: dict, points: list[float]) -> None:
                 run_sweep_values(sc)
             return
     values, columns = run_sweep_values(sc)
-    assert values == points
+    assert values.tolist() == points
     assert list(columns) == list(stat_names)
     for name, col in columns.items():
         got = col.tolist()

@@ -416,3 +416,33 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     for argv in (["validate", str(ini)], ["run", str(ini), "--out-dir", str(tmp_path)]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+TIROLE_OVERFLOW = (
+    "[ovf]\nmodel = tirole\nsweep = tfp\nvalues = [1.0, 1e250]\n"
+    "stats = k_fundamental\nalpha = 0.3\nbeta = 0.95\ndelta = 0.1\n"
+)
+
+
+def test_an_overflowing_tirole_grid_point_is_named(tmp_path, capsys):
+    ini = tmp_path / "t.ini"
+    ini.write_text(TIROLE_OVERFLOW)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [ovf]: sweep [ovf] at tfp = 1e+250: "
+        "overflow encountered in float_power\n"
+    )
+
+
+def test_an_overflowing_tirole_run_names_the_power(tmp_path, capsys):
+    # a run's statistics are row 0 of a one-point grid, so a run overflows
+    # in the grid's power as a sweep does
+    ini = tmp_path / "t.ini"
+    ini.write_text(
+        TIROLE_OVERFLOW.replace("sweep = tfp\nvalues = [1.0, 1e250]\n", "tfp = 1e250\n")
+        .replace("stats = k_fundamental\n", "")
+    )
+    assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini} [ovf]: overflow encountered in float_power\n"
+    )

@@ -1,6 +1,7 @@
 """Scenario file parsing, schema validation, runners, CSV output, and the
 command line entry point."""
 
+import tracemalloc
 import typing
 
 import numpy as np
@@ -187,7 +188,67 @@ def test_sweep_parsing():
     assert sc.stats == ("longrun_rate", "regime")
     assert np.allclose(sc.sweep_values, np.linspace(0.0, 1.0, 5))
     lst = one(text.replace("linspace(0.0, 1.0, 5)", "[0.1, 0.4]"))
-    assert lst.sweep_values == (0.1, 0.4)
+    assert lst.sweep_values.tolist() == [0.1, 0.4]
+
+
+LAND_KEYS = dict(pi=0.1, beta=0.95, delta=0.08, productivity=0.4, rent=1.0)
+
+
+def linspace_section(grid: str, key: str = "productivity") -> str:
+    keys = "".join(f"{k} = {v}\n" for k, v in LAND_KEYS.items() if k != key)
+    return (
+        f"[grid]\nmodel = barebones\nsweep = {key}\nvalues = linspace({grid})\n"
+        f"stats = longrun_rate\n{keys}"
+    )
+
+
+def test_a_linspace_grid_is_one_read_only_float64_array():
+    sc = one(linspace_section("0.1, 0.9, 7"))
+    want = np.linspace(0.1, 0.9, 7)
+    assert sc.sweep_values.dtype == np.float64
+    assert not sc.sweep_values.flags.writeable
+    assert sc.sweep_values.tobytes() == want.tobytes()
+    values, _ = run_sweep_values(sc)
+    assert values is sc.sweep_values
+    # equality stays a bool that compares grids by value
+    assert (sc == sc._replace(sweep_values=tuple(want.tolist()))) is True
+    assert (sc != sc._replace(sweep_values=want[::-1])) is True
+
+
+def test_a_linspace_grid_serializes_as_python_floats():
+    sc = one(linspace_section("0.1, 0.9, 7"))
+    assert serialize_scenario(sc) == (
+        "[grid]\nmodel = barebones\nsweep = productivity\nvalues = [0.1, "
+        "0.23333333333333334, 0.3666666666666667, 0.5, 0.6333333333333333, "
+        "0.7666666666666666, 0.9]\nstats = longrun_rate\npi = 0.1\nbeta = 0.95\n"
+        "delta = 0.08\nrent = 1.0\nland_supply = 1.0\n"
+    )
+    assert one(serialize_scenario(sc)) == sc
+
+
+def test_a_failing_linspace_point_is_named_as_a_python_float():
+    # beta must lie in (0, 1); the grid is 0.4, 0.625, 0.8500000000000001,
+    # 1.0750000000000002, 1.3
+    sc = one(linspace_section("0.4, 1.3, 5", key="beta"))
+    with pytest.raises(RunError) as exc:
+        run_sweep_values(sc)
+    assert str(exc.value) == (
+        "sweep [grid] at beta = 1.0750000000000002: "
+        "beta must lie in (0,1), got 1.0750000000000002"
+    )
+
+
+def test_a_parsed_linspace_grid_holds_eight_bytes_a_point():
+    text = linspace_section("0.0, 1.0, 200000")
+    one(text)   # every module and cache the parser uses is loaded
+    tracemalloc.start()
+    try:
+        sc = one(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sc.sweep_values.size == 200_000
+    assert held < 2_000_000
 
 
 def test_sweep_errors():
@@ -498,7 +559,7 @@ def test_run_sweep_values_in_memory():
         "pi = 0.1\nbeta = 0.95\ndelta = 0.08\nrent = 1.0\n"
     )
     values, stats = run_sweep_values(sc)
-    assert values == [0.1, 0.4, 0.7]
+    assert values.tolist() == [0.1, 0.4, 0.7]
     assert stats["longrun_rate"][1] == pytest.approx(SS_RATE, rel=1e-12)
     assert np.isnan(stats["steady_price"][2])  # no steady state when bubbly
     with pytest.raises(ValueError, match="not a sweep"):

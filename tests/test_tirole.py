@@ -1,12 +1,14 @@
 """Capital OLG steady states: crowd-out baseline and crowd-in variant."""
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblelab.tirole import (
     TiroleParams,
+    _pow,
     capital_rate,
     crossover_pi,
     savings_identity_residual,
@@ -176,4 +178,35 @@ def test_crossover_below_the_normal_doubles_raises(alpha):
 def test_requires_full_participation_for_baseline():
     p = TiroleParams(beta=0.95, alpha=1 / 3, delta=0.6, tfp=1.0, entrepreneur_prob=0.5)
     with pytest.raises(ValueError):
+        tirole_steady(p)
+
+
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+EXPONENT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(POSITIVE, EXPONENT), min_size=1, max_size=40))
+def test_array_powers_equal_python_pow_bit_for_bit(pairs):
+    """The grid's powers are Python's float ** on every positive finite
+    base; where ** raises OverflowError the array holds inf."""
+    x, y = (np.array(v) for v in zip(*pairs))
+
+    def python_pow(a: float, b: float) -> float:
+        try:
+            return a**b
+        except OverflowError:
+            return float("inf")
+
+    want = np.array([python_pow(a, b) for a, b in pairs])
+    with np.errstate(over="ignore"):
+        got = _pow(x, y)
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_a_scalar_power_that_overflows_raises_as_python_pow_does():
+    # the scalar functions keep Python's **, and its error
+    p = TiroleParams(beta=0.95, alpha=0.3, delta=0.1, tfp=1e250)
+    with pytest.raises(OverflowError, match=r"^\(34, 'Numerical result out of range'\)$"):
         tirole_steady(p)
