@@ -11,6 +11,14 @@ usage or unparseable scenario files.
 ``entry`` is the process entry (the ``bubblelab`` script and
 ``python -m bubblelab.cli``); ``main`` is the same run without its
 process-wide steps, for callers in process.
+
+A one-shot process runs without the cyclic garbage collector: reference
+counting frees what a run drops, and the little cyclic garbage a run
+leaves (the argument parser's) does not grow with its work. Under
+``python -m`` the collector goes off before this module imports numpy
+and the package's modules; the script imports the module first, and
+``entry`` turns it off before ``main``. ``import bubblelab.cli`` leaves
+the collector as it finds it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ import argparse
 import gc
 import os
 import sys
+
+if __name__ == "__main__":
+    gc.disable()
 
 from .barebones import ConstructionError
 from .scenarios import (
@@ -125,13 +136,16 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> int:
     """Run ``main`` as the whole process and return its exit status.
 
-    Whatever stdout still buffers is flushed here; a reader that has gone
-    away costs the run nothing, so the buffer is sent to the null device.
-    Then the heap is frozen: every output is closed by now, and the
-    interpreter's shutdown skips its collection over numpy's and the
+    The cyclic collector is off for the rest of the process (under
+    ``python -m`` it is off already). Whatever stdout still buffers is
+    flushed here; a reader that has gone away costs the run nothing, so
+    the buffer is sent to the null device. Then the heap is frozen: every
+    output is closed by now, and the interpreter's shutdown, whose final
+    collection runs even with the collector off, skips numpy's and the
     package's import-time objects. atexit handlers, stream flushes and
     profilers still run at exit as usual.
     """
+    gc.disable()
     try:
         return main()
     finally:

@@ -694,9 +694,9 @@ def _land_summary(p: barebones.BareBonesParams, o: dict) -> dict[str, object]:
             "longrun_rate",
         )
     }
-    necessity = barebones.classify_regime(p).necessity
-    summary["counterfactual_rate"] = necessity.fundamental_rate
-    summary["economy_growth"] = necessity.economy_growth
+    # the necessity triple's R and G, as classify_regime reads them
+    summary["counterfactual_rate"] = barebones.balanced_rate(p)
+    summary["economy_growth"] = stats["price_slope"] if stats["has_bubble"] else 1.0
     if not math.isnan(stats["steady_price"]):
         summary["steady_price"] = stats["steady_price"]
         summary["steady_rate"] = stats["steady_rate"]

@@ -1,14 +1,17 @@
 """The process entry, ``bubblelab.cli.entry``, run as a fresh process.
 
-``entry`` runs ``main``, flushes stdout and freezes the heap, so that the
-interpreter's shutdown skips its collection over the import-time objects.
-``main`` keeps no process-wide effect, so every check here runs a child
-interpreter. Children run block-buffered (``PYTHONUNBUFFERED`` removed)
-unless a check asks otherwise, as they would from a shell.
+``entry`` turns the cyclic collector off, runs ``main``, flushes stdout
+and freezes the heap, so that the interpreter's shutdown skips its
+collection over the import-time objects; under ``python -m`` the collector
+is off before the package's modules load. ``main`` keeps no process-wide
+effect, so every check of the entry here runs a child interpreter.
+Children run block-buffered (``PYTHONUNBUFFERED`` removed) unless a check
+asks otherwise, as they would from a shell.
 """
 
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -80,6 +83,24 @@ def _in_process(*args: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _main_blocks() -> list[ast.If]:
+    return [
+        node for node in ast.parse(CLI.read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+
+
+def _probe(source: str, *args: str) -> list[str]:
+    """Run ``source`` in a child interpreter with ``args`` as its argv and
+    return the words it prints to stderr."""
+    done = subprocess.run(
+        [sys.executable, "-c", source, *args], cwd=ROOT, env=_env(),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stderr.split()
+
+
 def _contents(out_dir: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
 
@@ -128,13 +149,105 @@ def test_the_entry_freezes_the_heap_before_exit():
     assert code == "0" and int(frozen) > 0
 
 
+def test_a_module_run_collects_nothing_once_numpy_loads(tmp_path):
+    # each pass records whether numpy had started to import; the module
+    # runs as ``python -m`` runs it
+    probe = (
+        "import gc, runpy, sys\n"
+        "passes = []\n"
+        "gc.callbacks.append(\n"
+        "    lambda phase, info: phase == 'start' and passes.append('numpy' in sys.modules))\n"
+        "sys.argv = ['bubblelab', 'run', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('bubblelab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, sum(passes), gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    code, late_passes, enabled, frozen = _probe(probe, str(FIGURES), "--out-dir", str(tmp_path))
+    assert (code, late_passes, enabled) == ("0", "0", "False")
+    assert int(frozen) > 0
+    assert _hashes(tmp_path) == FIGURE_HASHES
+
+
+def test_an_import_keeps_the_collector_and_the_entry_runs_without_it(tmp_path):
+    # the ``bubblelab`` script imports the module, then calls ``entry``
+    probe = (
+        "import gc, sys\n"
+        "import bubblelab.cli\n"
+        "print('numpy' in sys.modules, gc.isenabled(), file=sys.stderr)\n"
+        "passes = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(phase))\n"
+        "sys.argv = ['bubblelab', 'run', *sys.argv[1:]]\n"
+        "code = bubblelab.cli.entry()\n"
+        "print(code, len(passes), gc.isenabled(), file=sys.stderr)\n"
+    )
+    ini = tmp_path / "sweeps.ini"
+    ini.write_text(SWEEPS)
+    words = _probe(probe, str(ini), "--out-dir", str(tmp_path / "o"))
+    assert words == ["True", "True", "0", "0", "False"]
+    assert len(_contents(tmp_path / "o")) == 6
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        code, _, _ = _in_process("run", str(FIGURES), "--out-dir", str(tmp_path))
+        assert (code, gc.isenabled(), gc.get_freeze_count()) == (0, enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_runs_cyclic_garbage_does_not_grow_with_its_work(tmp_path):
+    # with the collector held off, gc.collect() after a run counts all the
+    # cyclic garbage it left; the 900-point sweeps do far more work than
+    # the figures and leave as much
+    ini = tmp_path / "sweeps.ini"
+    ini.write_text(SWEEPS)
+    runs = {"figures": FIGURES, "sweeps": ini}
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        left = {}
+        for rounds in range(2):   # the first round warms up
+            for name, path in runs.items():
+                gc.collect()
+                code, _, _ = _in_process("run", str(path), "--out-dir", str(tmp_path / name))
+                assert code == 0
+                left[name] = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert left["figures"] == left["sweeps"] > 0
+
+
+def test_the_module_imports_only_the_standard_library_before_its_guard():
+    # the collector is switched off before anything that can load numpy
+    (guard,) = [node for node in _main_blocks() if not isinstance(node.body[0], ast.Raise)]
+    assert [ast.unparse(node) for node in guard.body] == ["gc.disable()"]
+    docstring, *above = [
+        node for node in ast.parse(CLI.read_text()).body if node.lineno < guard.lineno
+    ]
+    assert isinstance(docstring.value, ast.Constant) and isinstance(docstring.value.value, str)
+    for node in above:
+        if isinstance(node, ast.ImportFrom):
+            assert node.module == "__future__"
+        else:
+            assert isinstance(node, ast.Import), ast.unparse(node)
+            for alias in node.names:
+                assert alias.name.partition(".")[0] in sys.stdlib_module_names
+    assert "gc" in [alias.name for node in above for alias in getattr(node, "names", ())]
+
+
 def test_the_script_and_the_main_block_share_one_entry():
     tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as f:
         script = tomllib.load(f)["project"]["scripts"]["bubblelab"]
     (block,) = [
-        node for node in ast.parse(CLI.read_text()).body
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        node for node in _main_blocks()
+        if isinstance(node.body[0], ast.Raise)
     ]
     (statement,) = block.body   # raise SystemExit(<entry>())
     assert script == f"bubblelab.cli:{statement.exc.args[0].func.id}"
