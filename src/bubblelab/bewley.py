@@ -44,13 +44,6 @@ class BewleyParams:
             raise ValueError("need rich_endow > poor_endow > 0")
 
 
-def marginal_utility(c: float | np.ndarray, gamma: float):
-    # log branch kept explicit; for gamma != 1 CRRA gives c**(-gamma)
-    if gamma == 1.0:
-        return 1.0 / c
-    return c ** (-gamma)
-
-
 class BewleyEquilibrium(NamedTuple):
     exists: bool
     price_level: float | None   # p in P_t = p * G^t
@@ -102,9 +95,11 @@ def bewley_validate(p: BewleyParams, horizon: int = 1000, tol: float = 1e-10) ->
         u'(c_rich_t) P_t = beta u'(c_poor_{t+1}) P_{t+1}
     (the buyer is poor next period). The seller (currently poor) must not
     want to buy: u'(c_poor_t) P_t >= beta u'(c_rich_{t+1}) P_{t+1}.
-    Residuals are relative (lhs/rhs - 1), evaluated in levels at each t.
-    Raises on violation: a failure here is an implementation bug, not a
-    model outcome.
+    Residuals are relative (lhs/rhs - 1), evaluated at each t from the logs
+    of the two sides, log u'(c G^s) P_s = -gamma (log c + s log G) + log p
+    + s log G: the levels under- or overflow over long horizons. Raises on
+    violation, a NaN or an infinite buyer residual included: a failure here
+    is an implementation bug, not a model outcome.
     """
     eq = bewley_price(p)
     if not eq.exists:
@@ -116,23 +111,22 @@ def bewley_validate(p: BewleyParams, horizon: int = 1000, tol: float = 1e-10) ->
         raise AssertionError("consumptions must be positive at an equilibrium")
 
     t = np.arange(horizon, dtype=float)
-    gt = p.growth**t
-    gt1 = p.growth ** (t + 1.0)
-    price_now = lvl * gt
-    price_next = lvl * gt1
+    log_g = math.log(p.growth)
+
+    def log_side(c: float, s: np.ndarray) -> np.ndarray:
+        # log u'(c G^s) P_s for periods s
+        return -p.gamma * (math.log(c) + s * log_g) + math.log(lvl) + s * log_g
+
+    log_beta = math.log(p.beta)
     # buyer indifference, relative
-    lhs = marginal_utility(c_rich * gt, p.gamma) * price_now
-    rhs = p.beta * marginal_utility(c_poor * gt1, p.gamma) * price_next
-    rich_resid = lhs / rhs - 1.0
+    rich_resid = np.expm1(log_side(c_rich, t) - (log_beta + log_side(c_poor, t + 1.0)))
     # seller's slack, >= 0 when staying out of the asset is optimal
-    lhs_p = marginal_utility(c_poor * gt, p.gamma) * price_now
-    rhs_p = p.beta * marginal_utility(c_rich * gt1, p.gamma) * price_next
-    poor_slack = lhs_p / rhs_p - 1.0
+    poor_slack = np.expm1(log_side(c_poor, t) - (log_beta + log_side(c_rich, t + 1.0)))
     worst_rich = float(np.max(np.abs(rich_resid)))
     worst_poor = float(np.min(poor_slack))
-    if worst_rich > tol:
+    if not worst_rich <= tol:
         raise AssertionError(f"buyer Euler residual {worst_rich} exceeds {tol}")
-    if worst_poor < -tol:
+    if not worst_poor >= -tol:
         raise AssertionError(f"seller slack {worst_poor} negative beyond {tol}")
     return {
         "max_rich_residual": worst_rich,

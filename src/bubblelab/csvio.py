@@ -53,11 +53,12 @@ the columns side by side, puts the separators into the free bytes, drops the
 NULs and decodes the text, which is written out before the next block, so a
 run holds one block of text however long the file. A path CSV has one row
 per period, its ``V`` and ``bubble`` cells blank past the end of their
-arrays; a table stops at its shortest column. ``write_csv`` and
-``write_table_csv`` write into an open text file, ``emit_csv`` and
-``emit_table_csv`` into a buffer whose text they return. Each of the four
-calls ``_write_blocks`` itself rather than through another, so in a traced
-run the formatting is the self time of the function that was called.
+arrays; a table stops at its shortest column. ``write_csv``, the one file
+writer, writes given columns for a given number of rows into an open text
+file, path CSVs and sweep tables alike; ``emit_csv`` and ``emit_table_csv``
+write into a buffer whose text they return. Each of the three calls
+``_write_blocks`` itself rather than through another, so in a traced run
+the formatting is the self time of the function that was called.
 """
 
 from __future__ import annotations
@@ -447,24 +448,14 @@ def column_array(
     raise ValueError(f"unknown column {name!r}; known: {', '.join(PATH_COLUMNS)}")
 
 
-def _path_columns(
-    path: EquilibriumPath, columns: tuple[str, ...], report: BubbleReport | None
-) -> list[np.ndarray]:
-    """Every column of a path CSV, each checked before a cell is formatted."""
-    if len(columns) == 0:
-        raise ValueError("at least one column required")
-    return [column_array(path, name, report) for name in columns]
-
-
 def write_csv(
-    out: TextIO,
-    path: EquilibriumPath,
-    columns: tuple[str, ...],
-    report: BubbleReport | None = None,
+    out: TextIO, header: list[str], columns: list[list[object] | np.ndarray], rows: int
 ) -> None:
-    """Write ``emit_csv``'s text to the open text file ``out``, a block of
-    rows at a time."""
-    _write_blocks(out, list(columns), _path_columns(path, columns, report), len(path))
+    """Write ``rows`` rows of ``columns`` under ``header`` to the open text
+    file ``out``, a block of rows at a time; a column that ends sooner is
+    blank after its end. For a path CSV ``rows`` is the path's length, for
+    a table its grid's."""
+    _write_blocks(out, header, columns, rows)
 
 
 def emit_csv(
@@ -474,17 +465,12 @@ def emit_csv(
 ) -> str:
     """Serialize selected columns of a path; ``V`` and ``bubble`` cells are
     blank where the valuation is undefined."""
+    if len(columns) == 0:
+        raise ValueError("at least one column required")
+    arrays = [column_array(path, name, report) for name in columns]
     out = io.StringIO()
-    _write_blocks(out, list(columns), _path_columns(path, columns, report), len(path))
+    _write_blocks(out, list(columns), arrays, len(path))
     return out.getvalue()
-
-
-def write_table_csv(
-    out: TextIO, header: list[str], columns: list[list[object] | np.ndarray]
-) -> None:
-    """Write ``emit_table_csv``'s text to the open text file ``out``, a
-    block of rows at a time."""
-    _write_blocks(out, header, columns, min(map(len, columns), default=0))
 
 
 def emit_table_csv(header: list[str], columns: list[list[object] | np.ndarray]) -> str:

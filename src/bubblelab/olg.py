@@ -162,9 +162,9 @@ def weil_sample_path(p: WeilParams, seed: int, horizon: int) -> EquilibriumPath:
     first failure draw, then is zero forever. One uniform draw per period
     while the bubble is alive; none afterwards.
 
-    ``meta['collapse_time']`` is the first zero-price period, or None if the
-    bubble survived the whole horizon. Expected collapse time is
-    1/(1-survival).
+    ``meta['collapse_time']``, its one key, is the first zero-price period,
+    or None if the bubble survived the whole horizon. The expected collapse
+    time 1/(1-survival) is a closed form, so it is not in ``meta``.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -183,7 +183,4 @@ def weil_sample_path(p: WeilParams, seed: int, horizon: int) -> EquilibriumPath:
             break
     path = EquilibriumPath(price=price, dividend=np.zeros(horizon + 1))
     path.meta["collapse_time"] = collapse
-    path.meta["mean_collapse_time"] = (
-        math.inf if p.survival == 1.0 else 1.0 / (1.0 - p.survival)
-    )
     return path

@@ -12,10 +12,9 @@ the NaN never propagates.
 matching the savings identity K_{t+1} + P_t X = beta * W_t row by row.
 
 ``meta`` holds only what a builder finds while it builds the path:
-``arbitrage_violations`` (``simulate_regime_switch``), and
-``collapse_time`` with ``mean_collapse_time`` (``weil_sample_path``).
-Inputs and closed forms are read from their own functions, not from the
-path.
+``arbitrage_violations`` (``simulate_regime_switch``) and ``collapse_time``
+(``weil_sample_path``). Inputs and closed forms, such as the expected
+collapse time, are read from their own functions, not from the path.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ class EquilibriumPath:
     ``meta`` carries what the builder found, and nothing else:
     - ``arbitrage_violations`` (``simulate_regime_switch``): the periods
       whose land return beats capital's;
-    - ``collapse_time`` and ``mean_collapse_time`` (``weil_sample_path``):
-      the first zero-price period (None if the bubble survives) and its
-      expectation 1/(1-survival)."""
+    - ``collapse_time`` (``weil_sample_path``): the first zero-price period,
+      None if the bubble survives."""
 
     price: np.ndarray
     dividend: np.ndarray

@@ -428,12 +428,13 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     except OSError as e:
         raise ScenarioError(f"cannot read {p}: {e}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")   # a leading byte-order mark is no text
     except UnicodeDecodeError as e:
-        # the line as the parser counts lines, with the bad byte on it
-        lineno = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        # the line as the parser counts lines, with the bad byte on it; the
+        # offsets into e.object start after any byte-order mark
+        lineno = len((e.object[: e.start].decode("utf-8") + "?").splitlines())
         raise ScenarioError(
-            f"{p}:{lineno}: byte 0x{data[e.start]:02x} is not UTF-8 text"
+            f"{p}:{lineno}: byte 0x{e.object[e.start]:02x} is not UTF-8 text"
         ) from None
     return parse_scenarios(text, source=str(p))
 
@@ -628,7 +629,7 @@ def _run_weil(p, o: dict) -> _ModelOutput:
         "stationary_price": price,
         "seed": o["seed"],
         "collapse_time": path.meta["collapse_time"],
-        "mean_collapse_time": path.meta["mean_collapse_time"],
+        "mean_collapse_time": math.inf if p.survival == 1.0 else 1.0 / (1.0 - p.survival),
     }
     return _ModelOutput(summary, path)
 
@@ -955,18 +956,15 @@ def _summary_text(summary: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, content: str | Callable[[TextIO], object]) -> None:
+def _write(path: Path, content: Callable[[TextIO], object]) -> None:
     """Write through a temporary file in the same directory and rename it
     into place, so that a failed write leaves no partial output.
-    ``content`` is the text, or a function that writes it into the open
-    file (a CSV, a block of rows at a time)."""
+    ``content`` is a function that writes the text into the open file (a
+    CSV a block of rows at a time, a summary at once)."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                content(fh)
+            content(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -977,18 +975,17 @@ def _check_finite(
     sc: Scenario,
     path: EquilibriumPath,
     columns: tuple[str, ...],
-    report: valuation.BubbleReport | None,
+    arrays: list[np.ndarray],
 ) -> None:
-    """Raise RunError at the first non-finite cell a path CSV would hold.
+    """Raise RunError at the first non-finite cell of ``arrays``, as written.
     NaN is allowed in the final R (no return after the last period) and in
     R and yield from a Weil bubble's collapse on (a zero price)."""
     n = len(path)
     collapse = path.meta.get("collapse_time")
     nan_from = {"R": n - 1} if collapse is None else {"R": collapse, "yield": collapse}
-    for name in columns:
+    for name, arr in zip(columns, arrays):
         if name == "t":
             continue
-        arr = csvio.column_array(path, name, report)
         bad = ~np.isfinite(arr)
         start = nan_from.get(name, arr.size)
         bad[start:] &= ~np.isnan(arr[start:])
@@ -1017,7 +1014,7 @@ def run_scenario(
         header = [sc.sweep, *sc.stats]
         table = [values, *(stats[name] for name in sc.stats)]
         sweep_file = out / f"{sc.name}_sweep.csv"
-        _write(sweep_file, lambda fh: csvio.write_table_csv(fh, header, table))
+        _write(sweep_file, lambda fh: csvio.write_csv(fh, header, table, len(values)))
         files.append(sweep_file)
         summary: dict[str, object] = {
             "model": sc.model,
@@ -1048,13 +1045,14 @@ def run_scenario(
             columns = sc.columns
             if columns is None:
                 columns = spec.columns + (() if report is None else _VALUATION_COLUMNS)
-            _check_finite(sc, path, columns, report)
+            arrays = [csvio.column_array(path, name, report) for name in columns]
+            _check_finite(sc, path, columns, arrays)
             csv_file = out / f"{sc.name}.csv"
-            _write(csv_file, lambda fh: csvio.write_csv(fh, path, columns, report))
+            _write(csv_file, lambda fh: csvio.write_csv(fh, list(columns), arrays, len(path)))
             files.append(csv_file)
 
     summary_file = out / f"{sc.name}_summary.txt"
-    _write(summary_file, _summary_text(summary))
+    _write(summary_file, lambda fh: fh.write(_summary_text(summary)))
     files.append(summary_file)
     return RunResult(scenario=sc.name, files=files, summary=summary)
 

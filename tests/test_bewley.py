@@ -1,5 +1,8 @@
 """Two-agent endowment-fluctuation model with a growing pure bubble."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from bubblelab.bewley import (
     bewley_path,
     bewley_price,
     bewley_validate,
-    marginal_utility,
 )
+from bubblelab.cli import main
 
 P_LOG = BewleyParams(beta=0.9, gamma=1.0, growth=1.0, rich_endow=2.0, poor_endow=1.0)
 
@@ -77,11 +80,24 @@ def test_validate_covers_growth_and_curvature():
             assert checks["min_poor_slack"] > 0.0
 
 
-def test_marginal_utility_log_branch():
-    assert marginal_utility(2.0, 1.0) == pytest.approx(0.5)
-    assert marginal_utility(2.0, 2.0) == pytest.approx(0.25)
-    got = marginal_utility(np.array([1.0, 4.0]), 0.5)
-    assert got == pytest.approx([1.0, 0.5])
+def test_validate_over_a_long_growing_horizon(tmp_path, capsys):
+    # u'(c * 1.5**t) = (c * 1.5**t)**-3 underflows to 0 near t = 999, so
+    # residuals formed from the levels are 0/0
+    ini = tmp_path / "long.ini"
+    ini.write_text(
+        "[long]\nmodel = bewley\nbeta = 0.9\ngamma = 3\ngrowth = 1.5\n"
+        "rich_endow = 2\npoor_endow = 1\nhorizon = 1000\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = dict(
+        line.split(" = ") for line in (tmp_path / "long_summary.txt").read_text().splitlines()
+    )
+    rich, slack = float(summary["max_rich_residual"]), float(summary["min_poor_slack"])
+    assert math.isfinite(rich) and rich <= 1e-10
+    assert math.isfinite(slack) and slack > 0.0
 
 
 def test_param_validation():

@@ -10,6 +10,7 @@ write takes does not grow with the file."""
 
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblelab import EquilibriumPath, csvio, gross_rates, parse_scenarios, run_scenario
-from bubblelab import fundamental_value, scenarios
+from bubblelab import fundamental_value, load_scenarios, scenarios
 from tests.test_csvio import NAN_PAYLOADS, ref_emit_csv, ref_emit_table_csv
 
 B = csvio.BLOCK_ROWS
+FIGURES = Path(__file__).resolve().parent.parent / "scenarios" / "figures.ini"
 LENGTHS = (1, B - 1, B, B + 1, 2 * B + 1)
 # where a run, a text or the end of V sits: just before, at and after an edge
 EDGES = (B - 1, B, B + 1)
@@ -210,6 +212,42 @@ def test_run_writes_what_emit_returns(tmp_path_factory, points, horizon, truncat
     assert_same_text((out / "p.csv").read_text(), want)
 
 
+def fig1_low():
+    return next(s for s in load_scenarios(FIGURES) if s.name == "fig1_low")
+
+
+def test_a_run_builds_each_written_column_once(tmp_path, monkeypatch):
+    built, column_array = [], csvio.column_array
+
+    def counted(path, name, report=None):
+        built.append(name)
+        return column_array(path, name, report)
+
+    monkeypatch.setattr(csvio, "column_array", counted)
+    run_scenario(fig1_low(), tmp_path)
+    header = (tmp_path / "fig1_low.csv").read_text().split("\n", 1)[0].split(",")
+    assert built == header and len(built) == 8
+
+
+def test_a_run_writes_the_arrays_it_checks(tmp_path, monkeypatch):
+    checked, written = [], []
+    check_finite, write_csv = scenarios._check_finite, csvio.write_csv
+
+    def check(sc, path, columns, arrays):
+        checked.extend(arrays)
+        check_finite(sc, path, columns, arrays)
+
+    def write(out, header, columns, rows):
+        written.extend(columns)
+        write_csv(out, header, columns, rows)
+
+    monkeypatch.setattr(scenarios, "_check_finite", check)
+    monkeypatch.setattr(csvio, "write_csv", write)
+    run_scenario(fig1_low(), tmp_path)
+    assert len(checked) == len(written) == 8
+    assert all(a is b for a, b in zip(checked, written))
+
+
 @pytest.mark.parametrize("existing", [None, "old contents\n"])
 def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing):
     target = tmp_path / "g_sweep.csv"
@@ -252,7 +290,7 @@ def traced_peak(tmp_path, rows: int) -> int:
     try:
         scenarios._write(
             tmp_path / f"t{rows}.csv",
-            lambda fh: csvio.write_table_csv(fh, ["x", "flag", "text"], columns),
+            lambda fh: csvio.write_csv(fh, ["x", "flag", "text"], columns, rows),
         )
         return tracemalloc.get_traced_memory()[1]
     finally:

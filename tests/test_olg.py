@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from bubblelab import scenarios
 from bubblelab.olg import (
     SamuelsonParams,
     WeilParams,
@@ -192,6 +193,11 @@ def test_weil_sample_paths_are_seed_deterministic():
     assert np.array_equal(a.price, b.price)
 
 
+def weil_summary(p: WeilParams) -> dict:
+    """The run summary of a Weil scenario with these parameters."""
+    return scenarios.MODELS["weil"].run(p, {"seed": 0, "horizon": 100}).summary
+
+
 def test_weil_collapse_time_mean():
     # geometric with failure probability 0.2: mean 5
     times = []
@@ -202,12 +208,12 @@ def test_weil_collapse_time_mean():
         times.append(ct)
     mean = np.mean(times)
     assert mean == pytest.approx(5.0, rel=0.02)
-    assert path.meta["mean_collapse_time"] == pytest.approx(5.0)
+    assert weil_summary(W)["mean_collapse_time"] == pytest.approx(5.0)
 
 
 def test_weil_immortal_bubble():
     sure = WeilParams(beta=0.5, young_endow=3.0, old_endow=1.0, survival=1.0)
     path = weil_sample_path(sure, seed=0, horizon=100)
     assert path.meta["collapse_time"] is None
-    assert math.isinf(path.meta["mean_collapse_time"])
+    assert math.isinf(weil_summary(sure)["mean_collapse_time"])
     assert np.all(path.price == weil_stationary_price(sure))

@@ -168,7 +168,7 @@ _BUILDERS = {
     ),
     "weil_sample_path": (
         lambda: olg.weil_sample_path(olg.WeilParams(0.5, 3.0, 1.0, 0.8), 0, 10),
-        {"collapse_time", "mean_collapse_time"},
+        {"collapse_time"},
     ),
     "bewley_path": (
         lambda: bewley.bewley_path(bewley.BewleyParams(0.9, 1.0, 1.0, 2.0, 1.0), 10),

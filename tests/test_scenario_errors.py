@@ -418,6 +418,27 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
+SAM = "[a]\nmodel = samuelson\nbeta = 0.5\nyoung_endow = 3\nold_endow = 1\nhorizon = 20\n"
+
+
+def test_a_byte_order_mark_is_not_text(tmp_path, capsys):
+    # editors on some systems start a UTF-8 file with the bytes EF BB BF
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_bytes(SAM.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + SAM.encode())
+    assert load_scenarios(bom) == load_scenarios(plain)
+    assert main(["validate", str(bom)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(tmp_path):
+    ini = tmp_path / "t.ini"
+    ini.write_bytes(b"\xef\xbb\xbf" + SAM.replace("[a]\n", "[a]\n# caf\xe9\n").encode("latin-1"))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenarios(ini)
+    assert str(exc.value) == f"{ini}:2: byte 0xe9 is not UTF-8 text"
+
+
 TIROLE_OVERFLOW = (
     "[ovf]\nmodel = tirole\nsweep = tfp\nvalues = [1.0, 1e250]\n"
     "stats = k_fundamental\nalpha = 0.3\nbeta = 0.95\ndelta = 0.1\n"

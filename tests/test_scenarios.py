@@ -504,7 +504,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
 
     monkeypatch.setattr(scenarios, "open", DiskFull, raising=False)
     with pytest.raises(OSError, match="No space"):
-        scenarios._write(target, "t,P\n" * 1000)
+        scenarios._write(target, lambda fh: fh.write("t,P\n" * 1000))
     left = [f.name for f in tmp_path.iterdir()]
     assert left == ([] if existing is None else ["out.csv"])
     if existing is not None:
