@@ -5,10 +5,10 @@ endowments (a, b), and a single intrinsically useless asset in unit supply.
 With no dividends the asset's entire value is bubble. A stationary bubbly
 equilibrium exists iff the young's desired saving at a unit price exceeds
 the old's endowment value, i.e. beta*a > (1-beta)*b, in which case the
-stationary price is P = beta*a - (1-beta)*b and every start P_0 in
-(0, P] continues an equilibrium; starts below the stationary price deflate
-to zero (asymptotically bubbleless) while the price level itself stays
-positive throughout.
+stationary price is P* = beta*a - (1-beta)*b and every start p0 in
+(0, P*] continues an equilibrium, in closed form P_t = p0 / (r + (1-r) s^t)
+with r = p0/P* and s = beta*a/((1-beta)*b) > 1: starts below P* deflate to
+zero (asymptotically bubbleless) while the price itself stays positive.
 
 The stochastic variant keeps the bubble alive each period with probability
 ``survival``; risk-neutral-in-logs pricing delivers a constant pre-collapse
@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .paths import EquilibriumPath
-from .recur import affine_path
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,14 @@ def young_demand(p: SamuelsonParams, price_now: float, price_next: float) -> flo
 def samuelson_price_path(
     p: SamuelsonParams, p0: float, horizon: int
 ) -> EquilibriumPath:
-    """Deterministic equilibrium price path from P_0 = p0.
+    """Deterministic equilibrium price path from P_0 = p0, in closed form.
 
-    Admissible starts are exactly (0, stationary_price]; anything else is
-    rejected (prices above the stationary level explode and violate the
-    young's budget in finite time). A start below it deflates toward zero;
-    a horizon that reaches a price below the smallest double is rejected.
-    """
+    Admissible starts are exactly (0, P*], P* the stationary price; anything
+    else is rejected (prices above P* explode and violate the young's
+    budget in finite time). P_t = p0 / (r + (1-r) s^t), r = p0/P*, solves
+    market clearing in 1/P, 1/P_{t+1} = (beta*a/P_t - 1) / ((1-beta)*b), whose
+    slope is s; a horizon that reaches a price below the smallest double is
+    rejected."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eq = samuelson_equilibria(p)
@@ -104,12 +104,11 @@ def samuelson_price_path(
         raise ValueError(
             f"p0 must lie in (0, {eq.stationary_price}], got {p0}"
         )
-    # market clearing in x_t = 1/P_t: x_{t+1} = (beta*a*x_t - 1) / ((1-beta)*b)
-    ob = (1.0 - p.beta) * p.old_endow
-    slope, drift = p.beta * p.young_endow / ob, -1.0 / ob
-    if math.isinf(slope) or math.isinf(drift):
-        raise ValueError(f"the map of 1/P overflows: slope {slope}, drift {drift}")
-    price = 1.0 / affine_path(slope, drift, 1.0 / p0, horizon)
+    # (1-r) s^t in logs, so no coefficient overflows; at r = 1 it is exp(-inf) = 0
+    r = p0 / eq.stationary_price
+    log_s = math.log(p.beta * p.young_endow) - math.log1p(-p.beta) - math.log(p.old_endow)
+    with np.errstate(divide="ignore", over="ignore"):
+        price = p0 / (r + np.exp(np.arange(horizon + 1) * log_s + np.log1p(-r)))
     zero = np.flatnonzero(price == 0.0)
     if zero.size:
         raise ValueError(

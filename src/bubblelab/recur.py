@@ -1,13 +1,14 @@
 """First-order affine recurrences and the yield-sum bubble criterion.
 
-Every model in this package eventually reduces to iterating
+Several models reduce to the recurrence
 
     x_{t+1} = rho * x_t + c
 
 in some transformed variable: inverse prices, wealth levels, price-rent
-ratios. This module holds that recurrence once: ``affine_path`` is the one
-kernel that steps it. ``AffineRecurrence`` and ``solve_affine``, its closed
-form, are kept as the oracle the benchmark checks simulated prices against.
+ratios. ``affine_path`` is the one kernel that steps it, for land wealth
+(``olg`` solves Samuelson's inverse prices in closed form instead), and
+``solve_affine`` is its closed form, kept with ``AffineRecurrence`` as the
+oracle the benchmark checks simulated prices against.
 
 Beside them sits the one bubble criterion the models share: a price with
 positive dividends carries a bubble iff the dividend yields sum,

@@ -44,7 +44,7 @@ import numpy as np
 from . import barebones, bewley, csvio, olg, tirole, valuation, wilson
 from .barebones import RegimeKind
 from .paths import EquilibriumPath
-from .recur import MIN_TERMS, UNIT_SLOPE_TOL
+from .recur import MIN_TERMS, UNIT_SLOPE_TOL, SeriesKind
 from .sequences import ExplicitSeq, GeometricSeq, PolynomialSeq, Sequence, constant
 
 
@@ -604,13 +604,12 @@ class _ModelOutput(NamedTuple):
 
 def _run_samuelson(p, o: dict) -> _ModelOutput:
     summary = _grid_row(_samuelson_grid, o)
+    if not summary["has_bubbly"]:
+        raise RunError(
+            "no positive stationary price at these endowments; only autarky exists"
+        )
     p0 = o.get("p0")
     if p0 is None:
-        if not summary["has_bubbly"]:
-            raise RunError(
-                "no positive stationary price at these endowments; "
-                "only autarky exists (give p0 to force an attempt)"
-            )
         p0 = summary["stationary_price"]
     path = olg.samuelson_price_path(p, p0, o["horizon"])
     summary["p0"] = p0
@@ -670,12 +669,16 @@ def _run_tirole(p, o: dict) -> _ModelOutput:
 def _run_wilson(p, o: dict) -> _ModelOutput:
     path = wilson.wilson_path(p, o["horizon"])
     test = wilson.wilson_bubble_test(p, horizon=o["test_horizon"])
-    summary = {
-        "yield_series": test.kind.value,
-        "has_bubble": test.kind.value == "convergent",
-        "tail_ratio": test.tail_ratio,
-    }
+    summary = {**_yield_verdict(test.kind), "tail_ratio": test.tail_ratio}
     return _ModelOutput(summary, path)
+
+
+def _yield_verdict(kind: SeriesKind) -> dict[str, object]:
+    """The yield series' verdict, and ``has_bubble`` where the verdict
+    decides it: an inconclusive series says nothing about the bubble."""
+    if kind is SeriesKind.INCONCLUSIVE:
+        return {"yield_series": kind.value}
+    return {"yield_series": kind.value, "has_bubble": kind is SeriesKind.CONVERGENT}
 
 
 def _land_params(o: dict, a: float, d: float) -> barebones.BareBonesParams:
@@ -766,8 +769,7 @@ def _run_barebones_timevarying(p, o: dict) -> _ModelOutput:
         require_feasible=o["require_feasible"],
     )
     summary = {
-        "yield_series": res.series.kind.value,
-        "has_bubble": res.bubble,
+        **_yield_verdict(res.series.kind),
         "final_slope_ratio": float(res.slope_ratio[-1]),
         "arbitrage_violations": len(res.violations),
     }
@@ -918,7 +920,7 @@ def _sweep_point(sc: Scenario, spec: ModelSpec, v: float) -> None:
         spec.params({**sc.options, sc.sweep: v})
         _evaluate(spec.grid, {**sc.options, sc.sweep: np.array([v])})
     except (ValueError, ArithmeticError) as e:
-        raise RunError(f"sweep [{sc.name}] at {sc.sweep} = {v!r}: {e}") from e
+        raise RunError(f"sweep at {sc.sweep} = {v!r}: {e}") from e
 
 
 def run_sweep_values(
@@ -941,7 +943,7 @@ def run_sweep_values(
     except (ValueError, ArithmeticError) as e:
         for v in grid.tolist():
             _sweep_point(sc, spec, v)
-        raise RunError(f"sweep [{sc.name}]: {e}") from e
+        raise RunError(f"sweep over {sc.sweep}: {e}") from e
     return grid, {name: columns[name] for name in sc.stats}
 
 
@@ -972,10 +974,7 @@ def _write(path: Path, content: Callable[[TextIO], object]) -> None:
 
 
 def _check_finite(
-    sc: Scenario,
-    path: EquilibriumPath,
-    columns: tuple[str, ...],
-    arrays: list[np.ndarray],
+    path: EquilibriumPath, columns: tuple[str, ...], arrays: list[np.ndarray]
 ) -> None:
     """Raise RunError at the first non-finite cell of ``arrays``, as written.
     NaN is allowed in the final R (no return after the last period) and in
@@ -992,7 +991,7 @@ def _check_finite(
         if bad.any():
             t = int(bad.argmax())
             raise RunError(
-                f"[{sc.name}] column {name!r} is {csvio.format_float(arr[t])} "
+                f"column {name!r} is {csvio.format_float(arr[t])} "
                 f"at t = {t}; only finite values are written"
             )
 
@@ -1046,7 +1045,7 @@ def run_scenario(
             if columns is None:
                 columns = spec.columns + (() if report is None else _VALUATION_COLUMNS)
             arrays = [csvio.column_array(path, name, report) for name in columns]
-            _check_finite(sc, path, columns, arrays)
+            _check_finite(path, columns, arrays)
             csv_file = out / f"{sc.name}.csv"
             _write(csv_file, lambda fh: csvio.write_csv(fh, list(columns), arrays, len(path)))
             files.append(csv_file)

@@ -233,9 +233,9 @@ def test_a_run_writes_the_arrays_it_checks(tmp_path, monkeypatch):
     checked, written = [], []
     check_finite, write_csv = scenarios._check_finite, csvio.write_csv
 
-    def check(sc, path, columns, arrays):
+    def check(path, columns, arrays):
         checked.extend(arrays)
-        check_finite(sc, path, columns, arrays)
+        check_finite(path, columns, arrays)
 
     def write(out, header, columns, rows):
         written.extend(columns)

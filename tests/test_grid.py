@@ -204,14 +204,14 @@ def grid_scenario(values: tuple[float, ...], stats: str = "regime") -> Scenario:
 
 
 def test_a_failing_grid_names_its_first_bad_point():
-    with pytest.raises(RunError, match=r"\[grid\] at productivity = -0\.1: product"):
+    with pytest.raises(RunError, match=r"^sweep at productivity = -0\.1: product"):
         run_sweep_values(grid_scenario((0.5, -0.1, 0.7)))
     # an arithmetic failure inside the grid call: no capital return at
     # A = 0 with full depreciation, so min_wealth divides by zero
     sc = grid_scenario((0.5, 0.0, 0.3), "min_wealth")._replace(
         options={"pi": 0.1, "beta": 0.95, "delta": 1.0, "rent": 1.0, "land_supply": 1.0}
     )
-    with pytest.raises(RunError, match=r"\[grid\] at productivity = 0\.0: "):
+    with pytest.raises(RunError, match=r"^sweep at productivity = 0\.0: "):
         run_sweep_values(sc)
 
 

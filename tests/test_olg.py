@@ -1,12 +1,15 @@
 """Pure-bubble overlapping generations model and its stochastic variant."""
 
 import math
-import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblelab import scenarios
+from bubblelab.cli import main
 from bubblelab.olg import (
     SamuelsonParams,
     WeilParams,
@@ -90,28 +93,117 @@ def test_path_rejects_inadmissible_starts():
 
 
 def test_path_rejects_a_price_that_underflows_to_zero():
-    # 1/P grows like 3^t, so P = 0.5 falls below the smallest double
+    # P falls like 3^-t, so P = 0.5 falls below the smallest double
     # around t = 650; the error names the first zero price
     assert samuelson_price_path(P, p0=0.5, horizon=646).price[-1] > 0.0
     with pytest.raises(ValueError, match=r"underflows to zero at t = 647:"):
         samuelson_price_path(P, p0=0.5, horizon=5000)
-    # 1/p0 is inf, so the price is zero from the start
-    with pytest.raises(ValueError, match=r"underflows to zero at t = 0:"):
+    # the smallest double is a start; a third of it rounds to zero
+    with pytest.raises(ValueError, match=r"underflows to zero at t = 1:"):
         samuelson_price_path(P, p0=5e-324, horizon=10)
+    # a start below 1/DBL_MAX is a price like any other
+    price = samuelson_price_path(P, p0=1e-309, horizon=5).price
+    assert price[0] == 1e-309
+    assert price[5] == pytest.approx(1e-309 / 3**5, rel=1e-6)
 
 
-@pytest.mark.parametrize("young_endow, old_endow, coefficients", [
-    # slope beta*a/((1-beta)*b) and drift -1/((1-beta)*b) both inf: a step
-    # would be inf - inf, a NaN price
-    (1.0, 1e-310, "slope inf, drift -inf"),
-    (1.0, 1e-320, "slope inf, drift -inf"),
-    # the slope alone: 1/P would be inf at t = 1 whatever the true price
-    (1e308, 1e-300, "slope inf, drift -1.9999999999999998e+300"),
-])
-def test_path_rejects_an_inverse_map_that_overflows(young_endow, old_endow, coefficients):
+@pytest.mark.parametrize("young_endow, old_endow, p0, zero_at", [
+    # s = beta*a/((1-beta)*b) is 1e608: a start below P* = 5e307 is
+    # refused at the first step, P_1 = 4e-609; P* itself stays put
+    (1e308, 1e-300, 0.4, 1),
+    (1e308, 1e-300, 5e307, None),
+    # s is above DBL_MAX, and so is 1/P_1 for p0 = 0.4
+    (1.0, 1e-310, 0.4, 1),
+    (1.0, 1e-320, 0.4, 1),
+], ids=["large-s", "large-s-stationary", "subnormal-b", "deep-subnormal-b"])
+def test_extreme_endowments_are_refused_only_below_the_smallest_double(
+    young_endow, old_endow, p0, zero_at
+):
     p = SamuelsonParams(beta=0.5, young_endow=young_endow, old_endow=old_endow)
-    with pytest.raises(ValueError, match=re.escape(f"the map of 1/P overflows: {coefficients}")):
-        samuelson_price_path(p, p0=0.4, horizon=10)
+    if zero_at is None:
+        assert samuelson_equilibria(p).stationary_price == p0
+        assert np.all(samuelson_price_path(p, p0, horizon=10).price == p0)
+        return
+    with pytest.raises(ValueError, match=rf"underflows to zero at t = {zero_at}:"):
+        samuelson_price_path(p, p0, horizon=10)
+
+
+@pytest.mark.parametrize("beta, young_endow, old_endow", [
+    (0.55, 2.5, 1.2),
+    (0.5, 1e308, 1e-300),
+])
+def test_a_stationary_start_is_constant_bit_for_bit(beta, young_endow, old_endow):
+    p = SamuelsonParams(beta, young_endow, old_endow)
+    star = samuelson_equilibria(p).stationary_price
+    price = samuelson_price_path(p, star, horizon=5000).price
+    assert price.tobytes() == np.full(5001, star).tobytes()
+
+
+def test_the_default_run_writes_the_stationary_price_in_every_row(tmp_path, capsys):
+    ini = tmp_path / "s.ini"
+    ini.write_text(
+        "[s]\nmodel = samuelson\nbeta = 0.55\nyoung_endow = 2.5\nold_endow = 1.2\n"
+        "horizon = 200\ncolumns = t, P, R\n"
+    )
+    assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = [ln.split(",") for ln in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 201
+    assert all(r[1:] == ["0.835", "1"] for r in rows[:-1])
+    assert rows[-1][1:] == ["0.835", "nan"]
+
+
+def test_a_run_without_bubbly_equilibria_fails_with_or_without_p0(tmp_path, capsys):
+    ini = tmp_path / "n.ini"
+    poor = "model = samuelson\nbeta = 0.2\nyoung_endow = 1\nold_endow = 4\n"
+    ini.write_text(f"[auto]\n{poor}\n[forced]\n{poor}p0 = 0.1\n")
+    for name in ("auto", "forced"):
+        assert main(["run", str(ini), name, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ini} [{name}]: no positive stationary price at these "
+            "endowments; only autarky exists\n"
+        )
+
+
+def exact_prices(p: SamuelsonParams, p0: float, horizon: int) -> list[float]:
+    """P_t = p0 / (r + (1-r) s^t), r = p0/P*, for the doubles' exact values
+    and the library's P*, each rounded once to a double."""
+    beta, a, b, start, star = map(
+        Fraction,
+        (p.beta, p.young_endow, p.old_endow, p0, samuelson_equilibria(p).stationary_price),
+    )
+    s, r = beta * a / ((1 - beta) * b), start / star
+    # P_t = start * D^t / (r D^t + (1-r) N^t) with s = N/D, over integers
+    num = start.numerator * r.denominator
+    out, n_t, d_t = [], 1, 1
+    for _ in range(horizon + 1):
+        den = start.denominator * (r.numerator * d_t + (r.denominator - r.numerator) * n_t)
+        out.append(num * d_t / den)
+        n_t, d_t = n_t * s.numerator, d_t * s.denominator
+    return out
+
+
+@st.composite
+def samuelson_starts(draw):
+    """A bubbly economy, a start in (0, P*] that is P* itself about half of
+    the time, and a horizon of at most 200. The slope s = 1/u is at most
+    10, so no price of the path falls out of the normal doubles."""
+    beta = draw(st.floats(0.05, 0.95))
+    a = draw(st.floats(0.1, 100.0))
+    u = draw(st.floats(0.1, 0.95))
+    p = SamuelsonParams(beta, a, beta * a / (1.0 - beta) * u)
+    star = samuelson_equilibria(p).stationary_price
+    p0 = draw(st.one_of(st.just(star), st.floats(1e-3, 1.0).map(lambda f: f * star)))
+    return p, p0, draw(st.integers(1, 200))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(samuelson_starts())
+def test_every_price_is_within_1e_12_of_the_exact_closed_form(case):
+    p, p0, horizon = case
+    got = samuelson_price_path(p, p0, horizon).price
+    want = np.array(exact_prices(p, p0, horizon))
+    assert np.all(np.abs(got / want - 1.0) <= 1e-12)
 
 
 def test_random_admissible_starts_stay_positive_and_die_out():
@@ -119,8 +211,8 @@ def test_random_admissible_starts_stay_positive_and_die_out():
     for _ in range(50):
         beta = rng.uniform(0.3, 0.9)
         a = rng.uniform(1.0, 10.0)
-        # keep the inverse-price slope moderate so 300 periods cannot
-        # overflow the inverse variable (price underflowing to 0.0)
+        # keep the slope s = beta*a/((1-beta)*b) below 1/0.3 so that 300
+        # periods cannot take the price below the smallest double
         b = beta * a / (1.0 - beta) * rng.uniform(0.3, 0.9)
         p = SamuelsonParams(beta, a, b)
         star = samuelson_equilibria(p).stationary_price

@@ -450,7 +450,7 @@ def test_an_overflowing_tirole_grid_point_is_named(tmp_path, capsys):
     ini.write_text(TIROLE_OVERFLOW)
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ini} [ovf]: sweep [ovf] at tfp = 1e+250: "
+        f"error: {ini} [ovf]: sweep at tfp = 1e+250: "
         "overflow encountered in float_power\n"
     )
 
