@@ -38,25 +38,30 @@ yet, built on first use and rebuilt when a larger value comes: a path's
 NUL inside a text cell is written as 0xFF, a byte UTF-8 never uses, and
 turned back once the NULs are dropped.
 
-One block writer, ``_write_blocks``, takes at most ``BLOCK_ROWS`` rows of
-every column at a time, and ends a block where a column shorter than the
-file ends, so that a column has all of a block's rows or none; a column with
-none is a blank one byte wide. ``_block_cells`` formats the float cells of
-all of its columns together, once per run of equal bit patterns (a run never
-crosses from one column into the next) and at most ``CHUNK_CELLS`` cells per
+One block writer, ``_write_blocks``, cuts a file of n rows into k blocks
+of ``n // k`` or ``n // k + 1`` rows, k the nearest whole number to
+``n / BLOCK_ROWS`` and at least 1, so that no block is shorter than three
+quarters of ``BLOCK_ROWS`` unless the file is, nor as long as one and a
+half. Where a column shorter than the file ends inside a block, it cuts
+the block into row segments, so that a column has all of a segment's rows
+or none; a column with none is a blank one byte wide. ``_block_cells``
+formats the float cells of every column of every segment of a block
+together, once per run of equal bit patterns (a run never crosses from one
+column or segment into the next) and at most ``CHUNK_CELLS`` cells per
 kernel call; a float column whose bits equal an earlier column's in the
 block (``price_rent`` and ``P`` where the rent is 1) shares that column's
-cells. It keeps of each float column only the bytes its cells use: a
-column with no two equal neighbours is a view of the kernel's rows, and only
-a column with runs copies its rows out to one per cell. ``render_csv`` lays
-the columns side by side, puts the separators into the free bytes, drops the
-NULs and decodes the text, which is written out before the next block, so a
-run holds one block of text however long the file. A path CSV has one row
-per period, its ``V`` and ``bubble`` cells blank past the end of their
-arrays; a table stops at its shortest column. ``write_csv``, the one file
-writer, writes given columns for a given number of rows into an open text
-file, path CSVs and sweep tables alike; ``emit_csv`` and ``emit_table_csv``
-write into a buffer whose text they return. Each of the three calls
+cells. It keeps of each float column of a segment only the bytes its cells
+use: a column with no two equal neighbours is a view of the kernel's rows,
+and only a column with runs copies its rows out to one per cell.
+``render_csv`` lays a segment's columns side by side, puts the separators
+into the free bytes and drops the NULs; its UTF-8 bytes are written out
+before the next block is formatted, so a run holds one block of bytes
+however long the file. A path CSV has one row per period, its ``V`` and
+``bubble`` cells blank past the end of their arrays; a table stops at its
+shortest column. ``write_csv``, the one file writer, writes given columns
+for a given number of rows into an open binary file, path CSVs and sweep
+tables alike; ``emit_csv`` and ``emit_table_csv`` write into a buffer
+whose bytes they decode once and return. Each of the three calls
 ``_write_blocks`` itself rather than through another, so in a traced run
 the formatting is the self time of the function that was called.
 """
@@ -66,7 +71,7 @@ from __future__ import annotations
 import functools
 import io
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -357,21 +362,26 @@ def _counted(col: list[object] | np.ndarray) -> np.ndarray | None:
 
 
 def _block_cells(
-    columns: list[list[object] | np.ndarray], start: int, stop: int
-) -> list[np.ndarray]:
-    """The cells of rows ``start`` to ``stop`` of every column as uint8
-    byte rows, the float cells of all columns formatted together; a column
-    that has ended by ``start`` is one NUL byte a row, a blank cell."""
-    parts = [col[start:stop] for col in columns]
+    columns: list[list[object] | np.ndarray], cuts: list[int]
+) -> list[list[np.ndarray]]:
+    """The cells of every column as uint8 byte rows, one list of columns per
+    segment of rows ``cuts[i]`` to ``cuts[i + 1]``, the float cells of every
+    segment formatted together; a column that has ended by a segment's start
+    is one NUL byte a row there, a blank cell."""
+    spans = list(zip(cuts, cuts[1:]))
+    parts = [col[start:stop] for start, stop in spans for col in columns]
     counted = [_counted(part) for part in parts]
     floats = [None if c is not None else _floats(p) for p, c in zip(parts, counted)]
     lanes = iter(_float_lanes([f for f in floats if f is not None]))
-    block = []
-    for part, cells, values in zip(parts, counted, floats):
-        if cells is None:
-            cells = _text_cells(part) if values is None else next(lanes)
-        block.append(cells if len(cells) else np.zeros((stop - start, 1), np.uint8))
-    return block
+    cells = [
+        c if c is not None else _text_cells(p) if f is None else next(lanes)
+        for p, c, f in zip(parts, counted, floats)
+    ]
+    w = len(columns)
+    return [
+        [c if len(c) else np.zeros((stop - start, 1), np.uint8) for c in cells[i * w : i * w + w]]
+        for i, (start, stop) in enumerate(spans)
+    ]
 
 
 def quote_field(s: str) -> str:
@@ -380,12 +390,13 @@ def quote_field(s: str) -> str:
     return s
 
 
-def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> str:
+def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> bytes:
     """Join columns of cells given as uint8 byte rows of one length (NUL
     bytes are no text, the last byte of a row is free) row by row, under the
-    quoted header. A header of ``None`` gives the rows alone, as for every
-    block of a file but its first."""
+    quoted header, as UTF-8. A header of ``None`` gives the rows alone, as
+    for every segment of a file but its first."""
     head = "" if header is None else ",".join(map(quote_field, header)) + "\n"
+    head = head.encode("utf-8", "surrogatepass")
     if not columns or len(columns[0]) == 0:
         return head
     block = np.concatenate(columns, axis=1)
@@ -394,7 +405,7 @@ def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> str:
     body = block.tobytes().translate(None, b"\0")
     if b"\xff" in body:
         body = body.replace(b"\xff", b"\0")
-    return head + body.decode("utf-8", "surrogatepass")
+    return head + body
 
 
 def _format_value(v: object) -> str:
@@ -410,18 +421,22 @@ def _format_value(v: object) -> str:
 
 
 def _write_blocks(
-    out: TextIO, header: list[str], columns: list[list[object] | np.ndarray], n: int
+    out: BinaryIO, header: list[str], columns: list[list[object] | np.ndarray], n: int
 ) -> None:
-    """Write the first ``n`` rows of ``columns`` to ``out``, at most
-    ``BLOCK_ROWS`` rows at a time, the header with the first block (the only
-    one when ``n`` is 0). A column that ends before row ``n`` ends a block
-    there too, and gets blank cells after it."""
-    ends = (len(col) for col in columns if len(col) < n)
-    edges = sorted({*range(0, max(n, 1), BLOCK_ROWS), *ends})
+    """Write the first ``n`` rows of ``columns`` to ``out`` in k blocks of
+    ``n // k`` or ``n // k + 1`` rows, k the nearest whole number to
+    ``n / BLOCK_ROWS`` and at least 1, the header with the first. A column
+    that ends inside a block cuts it into segments there, each rendered on
+    its own, and gets blank cells after it."""
+    k = max(1, (2 * n + BLOCK_ROWS) // (2 * BLOCK_ROWS))
+    ends = sorted({len(col) for col in columns if len(col) < n})
     head = header
-    for start, stop in zip(edges, edges[1:] + [n]):
-        out.write(render_csv(head, _block_cells(columns, start, stop)))
-        head = None
+    for i in range(k):
+        start, stop = n * i // k, n * (i + 1) // k
+        cuts = [start, *(e for e in ends if start < e < stop), stop]
+        for segment in _block_cells(columns, cuts):
+            out.write(render_csv(head, segment))
+            head = None
 
 
 def column_array(
@@ -449,12 +464,12 @@ def column_array(
 
 
 def write_csv(
-    out: TextIO, header: list[str], columns: list[list[object] | np.ndarray], rows: int
+    out: BinaryIO, header: list[str], columns: list[list[object] | np.ndarray], rows: int
 ) -> None:
-    """Write ``rows`` rows of ``columns`` under ``header`` to the open text
-    file ``out``, a block of rows at a time; a column that ends sooner is
-    blank after its end. For a path CSV ``rows`` is the path's length, for
-    a table its grid's."""
+    """Write ``rows`` rows of ``columns`` under ``header`` to the open binary
+    file ``out`` as UTF-8, a block of rows at a time; a column that ends
+    sooner is blank after its end. For a path CSV ``rows`` is the path's
+    length, for a table its grid's."""
     _write_blocks(out, header, columns, rows)
 
 
@@ -468,9 +483,9 @@ def emit_csv(
     if len(columns) == 0:
         raise ValueError("at least one column required")
     arrays = [column_array(path, name, report) for name in columns]
-    out = io.StringIO()
+    out = io.BytesIO()
     _write_blocks(out, list(columns), arrays, len(path))
-    return out.getvalue()
+    return out.getvalue().decode("utf-8", "surrogatepass")
 
 
 def emit_table_csv(header: list[str], columns: list[list[object] | np.ndarray]) -> str:
@@ -478,6 +493,6 @@ def emit_table_csv(header: list[str], columns: list[list[object] | np.ndarray]) 
     summaries): floats at 12 significant digits, booleans as ``true`` and
     ``false``, everything else via str. Rows past the shortest column are
     dropped."""
-    out = io.StringIO()
+    out = io.BytesIO()
     _write_blocks(out, header, columns, min(map(len, columns), default=0))
-    return out.getvalue()
+    return out.getvalue().decode("utf-8", "surrogatepass")

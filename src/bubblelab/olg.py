@@ -18,6 +18,7 @@ price and a geometric collapse time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -91,8 +92,8 @@ def samuelson_price_path(
     else is rejected (prices above P* explode and violate the young's
     budget in finite time). P_t = p0 / (r + (1-r) s^t), r = p0/P*, solves
     market clearing in 1/P, 1/P_{t+1} = (beta*a/P_t - 1) / ((1-beta)*b), whose
-    slope is s; a horizon that reaches a price below the smallest double is
-    rejected."""
+    slope is s; a horizon that reaches a price that rounds to zero, below
+    the smallest subnormal double, is rejected."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     eq = samuelson_equilibria(p)
@@ -108,7 +109,11 @@ def samuelson_price_path(
     r = p0 / eq.stationary_price
     log_s = math.log(p.beta * p.young_endow) - math.log1p(-p.beta) - math.log(p.old_endow)
     with np.errstate(divide="ignore", over="ignore"):
-        price = p0 / (r + np.exp(np.arange(horizon + 1) * log_s + np.log1p(-r)))
+        log_term = np.arange(horizon + 1) * log_s + np.log1p(-r)
+        price = p0 / (r + np.exp(log_term))
+    # past DBL_MAX the term alone sets the price, r <= 1 lost beside it
+    big = log_term > math.log(sys.float_info.max)
+    price[big] = np.exp(math.log(p0) - log_term[big])
     zero = np.flatnonzero(price == 0.0)
     if zero.size:
         raise ValueError(

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from operator import itemgetter
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -958,14 +958,14 @@ def _summary_text(summary: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, content: Callable[[TextIO], object]) -> None:
+def _write(path: Path, content: Callable[[BinaryIO], object]) -> None:
     """Write through a temporary file in the same directory and rename it
     into place, so that a failed write leaves no partial output.
-    ``content`` is a function that writes the text into the open file (a
-    CSV a block of rows at a time, a summary at once)."""
+    ``content`` is a function that writes the bytes into the open binary
+    file (a CSV a block of rows at a time, a summary at once)."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") as fh:
             content(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -1051,7 +1051,7 @@ def run_scenario(
             files.append(csv_file)
 
     summary_file = out / f"{sc.name}_summary.txt"
-    _write(summary_file, lambda fh: fh.write(_summary_text(summary)))
+    _write(summary_file, lambda fh: fh.write(_summary_text(summary).encode()))
     files.append(summary_file)
     return RunResult(scenario=sc.name, files=files, summary=summary)
 

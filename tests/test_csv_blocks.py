@@ -1,15 +1,18 @@
 """CSV output written in blocks of rows.
 
-A file is formatted and written ``csvio.BLOCK_ROWS`` rows at a time. Its
-bytes must not depend on where the block edges fall: runs of equal cells,
-signed zeros, NaN payloads, quoted text and the blank tail of the ``V`` and
-``bubble`` columns all cross an edge here and are checked against the
-per-cell reference emitters. Writing to a file gives the text the ``emit_*``
+A file of n rows is formatted and written in k blocks, k the nearest whole
+number to n / ``csvio.BLOCK_ROWS`` and at least 1, and a column that ends
+inside a block cuts it into segments. Its bytes must not depend on where the
+block and segment edges fall: runs of equal cells, signed zeros, NaN
+payloads, quoted text and the blank tail of the ``V`` and ``bubble`` columns
+all cross an edge here and are checked against the per-cell reference
+emitters. Writing to a file gives the text the ``emit_*``
 functions return, a failure mid-file leaves nothing behind, and the memory a
 write takes does not grow with the file."""
 
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,9 +27,26 @@ from tests.test_csvio import NAN_PAYLOADS, ref_emit_csv, ref_emit_table_csv
 
 B = csvio.BLOCK_ROWS
 FIGURES = Path(__file__).resolve().parent.parent / "scenarios" / "figures.ini"
-LENGTHS = (1, B - 1, B, B + 1, 2 * B + 1)
-# where a run, a text or the end of V sits: just before, at and after an edge
-EDGES = (B - 1, B, B + 1)
+# files of one block (up to 1.5B - 1 rows), two (from 1.5B) and three
+LENGTHS = (1, B - 1, B, B + 1, 3 * B // 2 - 1, 3 * B // 2, 2 * B + 1, 3 * B - 1)
+
+
+def block_edges(n: int) -> list[int]:
+    """The first row of every block of an n-row file, and n."""
+    k = max(1, (2 * n + B) // (2 * B))
+    return [n * i // k for i in range(k + 1)]
+
+
+def edges_within(n: int) -> list[int]:
+    """Where a run, a text or the end of V crosses: every edge between two
+    blocks, or row B of a file of one block."""
+    return [e for e in block_edges(n)[1:-1] or [B] if e < n]
+
+
+def ends_near_edges(n: int) -> list[int]:
+    """Where V and bubble end: nowhere, at the path's end or just before it,
+    and just before, at and after every edge."""
+    return sorted({0, n - 1, n, *(e + d for e in edges_within(n) for d in (-1, 0, 1))})
 
 
 def runs_across_edges(n: int) -> np.ndarray:
@@ -37,7 +57,7 @@ def runs_across_edges(n: int) -> np.ndarray:
     pattern = np.repeat(values, lengths)
     arr = np.resize(pattern, n)
     nans = np.array(NAN_PAYLOADS, dtype=np.uint64).view(np.float64)
-    for edge in range(B, n, B):
+    for edge in edges_within(n):
         arr[edge - 3 : edge + 3] = -0.0
         arr[edge - 1 : edge + 1] = nans[:2]
         arr[edge + 3 : edge + 6] = -math.inf
@@ -49,7 +69,7 @@ def texts_across_edges(n: int) -> np.ndarray:
     block edge."""
     words = np.array(["in", 'say "hi"', "a,b", "none", "two\nlines"])
     arr = np.resize(np.repeat(words, 3), n)
-    for edge in range(B, n, B):
+    for edge in edges_within(n):
         arr[edge - 2 : edge + 2] = "a,b"
     return arr
 
@@ -77,7 +97,7 @@ def test_path_blocks_match_reference(n):
     with np.errstate(all="ignore"):
         path = EquilibriumPath(price, dividend, gross_rates(price, dividend))
         columns = ("t", "P", "D", "R", "price_rent", "V", "bubble")
-        for m in sorted({min(m, n) for m in (0, n - 1, n, *EDGES)}):
+        for m in ends_near_edges(n):
             report = report_ending_at(m, price)
             assert_same_text(
                 csvio.emit_csv(path, columns, report), ref_emit_csv(path, columns, report)
@@ -89,7 +109,7 @@ def run_free(n: int, scale: float) -> np.ndarray:
     return scale * (1.0 + np.arange(n) / 7.0) ** 1.5
 
 
-@pytest.mark.parametrize("n", (B - 1, 2 * B + 1))
+@pytest.mark.parametrize("n", (B - 1, 3 * B // 2, 2 * B + 1))
 def test_run_free_columns_beside_columns_with_runs_match_reference(n):
     """Each block mixes float columns without repeated neighbours, which
     keep the kernel's rows, with columns whose runs are expanded."""
@@ -100,24 +120,76 @@ def test_run_free_columns_beside_columns_with_runs_match_reference(n):
     wealth[n // 2 : n // 2 + 8] = np.repeat(nans[:4], 2)   # NaN payloads apart
     capital = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)   # run-free by bits only
     phi = run_free(n, 0.01)
-    for edge in range(B, n, B):
+    for edge in edges_within(n):
         phi[edge - 3 : edge + 3] = 0.25              # a run across a block edge
     path = EquilibriumPath(price, np.full(n, 1.0), wealth=wealth, capital=capital, phi=phi)
     columns = ("t", "P", "D", "R", "W", "K", "phi", "yield", "V", "bubble")
-    for m in sorted({min(m, n) for m in (0, n - 1, n, *EDGES)}):
+    for m in ends_near_edges(n):
         report = SimpleNamespace(fundamental=run_free(m, 3.0), bubble_component=price[:m] * 0)
         assert_same_text(
             csvio.emit_csv(path, columns, report), ref_emit_csv(path, columns, report)
         )
 
 
+def recorded_blocks(monkeypatch) -> list[list[int]]:
+    """The cuts of every block ``_block_cells`` is given from now on."""
+    blocks, block_cells = [], csvio._block_cells
+
+    def recording(columns, cuts):
+        blocks.append(cuts)
+        return block_cells(columns, cuts)
+
+    monkeypatch.setattr(csvio, "_block_cells", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("n, k", [
+    (0, 1), (1, 1), (B // 2, 1), (B - 1, 1), (B, 1), (3 * B // 2 - 1, 1),
+    (3 * B // 2, 2), (2 * B + 1, 2), (5 * B // 2, 3), (3 * B - 1, 3), (10 * B + 7, 10),
+])
+def test_no_block_is_long_or_short_unless_its_file_is(monkeypatch, n, k):
+    blocks = recorded_blocks(monkeypatch)
+    csvio.emit_table_csv(["x"], [np.zeros(n)])
+    assert [b[0] for b in blocks] + [blocks[-1][-1]] == block_edges(n)
+    sizes = [b[-1] - b[0] for b in blocks]
+    assert len(sizes) == k
+    assert max(sizes) < 3 * B // 2
+    assert min(sizes) >= min(n, 2 * B // 3)
+
+
+def test_a_valued_path_of_one_block_is_formatted_in_one_pass(monkeypatch):
+    # 5001 rows are one block; V and bubble end inside it, which cuts it
+    # into two segments, rendered apart but formatted together
+    calls = Counter()
+
+    def counting(f):
+        def counted(*args):
+            calls[f.__name__] += 1
+            return f(*args)
+        return counted
+
+    for name in ("_float_lanes", "render_csv"):
+        monkeypatch.setattr(csvio, name, counting(getattr(csvio, name)))
+    blocks = recorded_blocks(monkeypatch)
+    price = run_free(5001, 2.0)
+    path = EquilibriumPath(price, np.full(5001, 0.1), gross_rates(price, np.full(5001, 0.1)))
+    report = report_ending_at(5001 - 700, price)
+    columns = ("t", "P", "D", "R", "price_rent", "yield", "V", "bubble")
+    got = csvio.emit_csv(path, columns, report)
+    assert blocks == [[0, 4301, 5001]]
+    assert calls == {"_float_lanes": 1, "render_csv": 2}
+    assert_same_text(got, ref_emit_csv(path, columns, report))
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 def test_table_blocks_match_reference(n):
     floats = runs_across_edges(n)
     flags = (np.arange(n) // 3) % 2 == 0
-    flags[B - 2 : B + 2] = True
+    for edge in edges_within(n):
+        flags[edge - 2 : edge + 2] = True
     texts = texts_across_edges(n)
-    mixed = [1.5 if k % B else "none" for k in range(n)]
+    starts = set(block_edges(n))
+    mixed = ["none" if k in starts else 1.5 for k in range(n)]
     header = ["x", "flag", "text", "as list", "mixed"]
     got = csvio.emit_table_csv(header, [floats, flags, texts, floats.tolist(), mixed])
     rows = zip(floats.tolist(), flags.tolist(), texts.tolist(), floats.tolist(), mixed)
@@ -181,8 +253,8 @@ def test_object_array_column_is_formatted_cell_by_cell():
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
-    points=st.sampled_from((2, *EDGES, 2 * B, 2 * B + 1)),
-    horizon=st.sampled_from((*EDGES, 2 * B - 1, 2 * B)),
+    points=st.sampled_from((2, B - 1, B, 3 * B // 2 - 1, 3 * B // 2, 2 * B + 1)),
+    horizon=st.sampled_from((B - 1, B, 3 * B // 2 - 1, 3 * B // 2, 2 * B)),
     truncation=st.integers(10, B + 2),
 )
 def test_run_writes_what_emit_returns(tmp_path_factory, points, horizon, truncation):
@@ -256,24 +328,24 @@ def test_failure_in_a_later_block_leaves_no_file(tmp_path, monkeypatch, existing
     block_cells = csvio._block_cells
     blocks = []
 
-    def failing(columns, start, stop):
-        blocks.append(stop - start)
+    def failing(columns, cuts):
+        blocks.append(cuts[-1] - cuts[0])
         if len(blocks) > 1:   # the second block
             # the first block is already in the temporary file
             assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"]
             raise RuntimeError("formatter failed")
-        return block_cells(columns, start, stop)
+        return block_cells(columns, cuts)
 
     monkeypatch.setattr(csvio, "_block_cells", failing)
     sc = parse_scenarios(
         f"[g]\nmodel = barebones\nsweep = productivity\n"
-        f"values = linspace(0.1, 0.9, {B + 1})\nstats = regime, has_bubble, "
+        f"values = linspace(0.1, 0.9, {2 * B + 1})\nstats = regime, has_bubble, "
         "steady_price\npi = 0.1\nbeta = 0.95\ndelta = 0.08\nrent = 1.0\n",
         source="fail.ini",
     )[0]
     with pytest.raises(RuntimeError, match="formatter failed"):
         run_scenario(sc, tmp_path)
-    assert blocks == [B, 1]
+    assert blocks == [B, B + 1]
     left = sorted(f.name for f in tmp_path.iterdir())
     assert left == ([] if existing is None else ["g_sweep.csv"])
     if existing is not None:

@@ -309,6 +309,26 @@ def test_path_blocks_carry_few_empty_bytes(monkeypatch):
     assert empty <= 0.1 * size
 
 
+def test_each_stress_path_is_formatted_in_one_pass(monkeypatch):
+    # a 5001-row path is one block: one kernel pass over all its float
+    # columns, rendered once, or twice where V and bubble end inside it
+    calls = {"_float_lanes": 0, "render_csv": 0}
+
+    def counting(name):
+        f = getattr(csvio, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(csvio, name, counting(name))
+    texts = write_stress_paths(seed=1)
+    valued = sum(text.split("\n", 1)[0].endswith(",V,bubble") for text in texts)
+    assert calls == {"_float_lanes": len(texts), "render_csv": len(texts) + valued}
+
+
 # --- the digit arithmetic ----------------------------------------------------
 
 
@@ -425,10 +445,10 @@ def test_signed_zeros_and_nan_payloads_are_not_merged(kernel_cells):
 
 
 def test_a_column_equal_in_one_block_only_is_formatted_in_the_next(kernel_cells):
-    b = csvio.BLOCK_ROWS
-    x = np.random.default_rng(3).random(b + 50)
+    n = 2 * csvio.BLOCK_ROWS + 100     # two blocks of n // 2 rows
+    x = np.random.default_rng(3).random(n)
     y = x.copy()
-    y[b + 10] = -y[b + 10]
+    y[n // 2 + 10] = -y[n // 2 + 10]
     got = csvio.emit_table_csv(["x", "y"], [x, y])
     assert_same_text(got, ref_emit_table_csv(["x", "y"], [list(r) for r in zip(x, y)]))
-    assert kernel_cells[0] == b + 2 * 50
+    assert kernel_cells[0] == n // 2 + 2 * (n // 2)

@@ -93,10 +93,11 @@ def test_path_rejects_inadmissible_starts():
 
 
 def test_path_rejects_a_price_that_underflows_to_zero():
-    # P falls like 3^-t, so P = 0.5 falls below the smallest double
-    # around t = 650; the error names the first zero price
-    assert samuelson_price_path(P, p0=0.5, horizon=646).price[-1] > 0.0
-    with pytest.raises(ValueError, match=r"underflows to zero at t = 647:"):
+    # P falls like 3^-t, so P = 0.5 passes the smallest normal double around
+    # t = 645 and rounds to zero, below the smallest subnormal one, at
+    # t = 679; the error names the first zero price
+    assert samuelson_price_path(P, p0=0.5, horizon=678).price[-1] > 0.0
+    with pytest.raises(ValueError, match=r"underflows to zero at t = 679:"):
         samuelson_price_path(P, p0=0.5, horizon=5000)
     # the smallest double is a start; a third of it rounds to zero
     with pytest.raises(ValueError, match=r"underflows to zero at t = 1:"):
@@ -112,9 +113,10 @@ def test_path_rejects_a_price_that_underflows_to_zero():
     # refused at the first step, P_1 = 4e-609; P* itself stays put
     (1e308, 1e-300, 0.4, 1),
     (1e308, 1e-300, 5e307, None),
-    # s is above DBL_MAX, and so is 1/P_1 for p0 = 0.4
-    (1.0, 1e-310, 0.4, 1),
-    (1.0, 1e-320, 0.4, 1),
+    # s is above DBL_MAX, and so is 1/P_1 for p0 = 0.4, yet P_1 = 2e-310
+    # and 2e-320 are subnormal doubles; P_2 rounds to zero
+    (1.0, 1e-310, 0.4, 2),
+    (1.0, 1e-320, 0.4, 2),
 ], ids=["large-s", "large-s-stationary", "subnormal-b", "deep-subnormal-b"])
 def test_extreme_endowments_are_refused_only_below_the_smallest_double(
     young_endow, old_endow, p0, zero_at
@@ -204,6 +206,20 @@ def test_every_price_is_within_1e_12_of_the_exact_closed_form(case):
     got = samuelson_price_path(p, p0, horizon).price
     want = np.array(exact_prices(p, p0, horizon))
     assert np.all(np.abs(got / want - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("young_endow, old_endow, p0, horizon", [
+    (3.0, 1.0, 0.5, 678),     # subnormal from t = 645, the last cell above zero
+    (1.0, 1e-310, 0.4, 1),    # s above DBL_MAX: P_1 = 2e-310
+    (1.0, 1e-320, 0.4, 1),    # P_1 = 2e-320
+], ids=["slow-decay", "subnormal-b", "deep-subnormal-b"])
+def test_subnormal_prices_are_the_exact_closed_form(young_endow, old_endow, p0, horizon):
+    p = SamuelsonParams(beta=0.5, young_endow=young_endow, old_endow=old_endow)
+    got = samuelson_price_path(p, p0, horizon).price
+    want = np.array(exact_prices(p, p0, horizon))
+    assert np.all(got > 0.0)
+    # a subnormal holds fewer digits: within one of its units beyond 1e-12
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 2.0**-1074)
 
 
 def test_random_admissible_starts_stay_positive_and_die_out():

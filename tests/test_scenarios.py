@@ -502,8 +502,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
     class DiskFull:
         """A file that takes half of what it is given, then fails."""
 
-        def __init__(self, name, mode, newline):
-            self.fh = open(name, mode, newline=newline)
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
 
         def __enter__(self):
             return self
@@ -511,14 +511,14 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
         def __exit__(self, *exc):
             self.fh.close()
 
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(scenarios, "open", DiskFull, raising=False)
     with pytest.raises(OSError, match="No space"):
-        scenarios._write(target, lambda fh: fh.write("t,P\n" * 1000))
+        scenarios._write(target, lambda fh: fh.write(b"t,P\n" * 1000))
     left = [f.name for f in tmp_path.iterdir()]
     assert left == ([] if existing is None else ["out.csv"])
     if existing is not None:
@@ -791,7 +791,7 @@ def test_cli_names_the_underflow_of_a_deflating_samuelson_price(tmp_path, capsys
     )
     assert main(["run", str(ini), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {ini} [s]: the price underflows to zero at t = 647: the "
+        f"error: {ini} [s]: the price underflows to zero at t = 679: the "
         "equilibrium price is positive but below the smallest double\n"
     )
     assert not (tmp_path / "o" / "s.csv").exists()
