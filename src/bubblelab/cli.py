@@ -89,7 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = run_scenario(
                 sc, args.out_dir, horizon=args.horizon, seed=args.seed
             )
-        except (RunError, ConstructionError, ValueError, ArithmeticError) as e:
+        except (RunError, ConstructionError, ValueError, ArithmeticError, OSError) as e:
             raise RunError(f"{args.file} [{sc.name}]: {e}") from e
         for f in result.files:
             _say(f"wrote {f}")

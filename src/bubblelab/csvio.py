@@ -53,23 +53,26 @@ block (``price_rent`` and ``P`` where the rent is 1) shares that column's
 cells. It keeps of each float column of a segment only the bytes its cells
 use: a column with no two equal neighbours is a view of the kernel's rows,
 and only a column with runs copies its rows out to one per cell.
-``render_csv`` lays a segment's columns side by side, puts the separators
-into the free bytes and drops the NULs; its UTF-8 bytes are written out
-before the next block is formatted, so a run holds one block of bytes
-however long the file. A path CSV has one row per period, its ``V`` and
-``bubble`` cells blank past the end of their arrays; a table stops at its
-shortest column. ``write_csv``, the one file writer, writes given columns
-for a given number of rows into an open binary file, path CSVs and sweep
-tables alike; ``emit_csv`` and ``emit_table_csv`` write into a buffer
-whose bytes they decode once and return. Each of the three calls
-``_write_blocks`` itself rather than through another, so in a traced run
-the formatting is the self time of the function that was called.
+``render_csv`` makes a segment one buffer: the header, if the segment has
+it, then each column's cells copied into their place in the rows, the
+separators set in the free bytes and the NULs dropped in one pass over the
+whole (a NUL in a header name goes in as 0xFF, as one in a text cell does).
+It returns that ``bytearray``, which is handed on before the next block is
+formatted, so a run holds one block of bytes however long the file. A path
+CSV has one row per period, its ``V`` and ``bubble`` cells blank past the
+end of their arrays; a table stops at its shortest column. ``write_csv``,
+the one file writer, writes given columns for a given number of rows into
+an open binary file, path CSVs and sweep tables alike; ``emit_csv`` and
+``emit_table_csv`` decode each segment as it comes and join the texts, so
+the text of a one-segment file is never copied after its decode. None of
+the three reaches ``_write_blocks`` through another public function, so in
+a traced run the formatting is the self time of the function that was
+called.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, BinaryIO
 
@@ -78,6 +81,8 @@ import numpy as np
 from .paths import EquilibriumPath
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .valuation import BubbleReport
 
 PATH_COLUMNS = ("t", "P", "D", "R", "W", "K", "phi", "price_rent", "yield", "V", "bubble")
@@ -390,22 +395,34 @@ def quote_field(s: str) -> str:
     return s
 
 
-def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> bytes:
-    """Join columns of cells given as uint8 byte rows of one length (NUL
-    bytes are no text, the last byte of a row is free) row by row, under the
-    quoted header, as UTF-8. A header of ``None`` gives the rows alone, as
-    for every segment of a file but its first."""
+def render_csv(header: list[str] | None, columns: list[np.ndarray]) -> bytearray:
+    """Join columns of cells given as uint8 byte rows of one length, each
+    row's bytes adjacent (NUL bytes are no text, the last byte of a row is
+    free), row by row, under the quoted header, as UTF-8, in one buffer: the
+    header, then each column's cells copied into their place in the rows,
+    the separators set in the free bytes and the NULs dropped in one pass.
+    A NUL of the header goes in as 0xFF, as one of a text cell does, and
+    comes back with it. A header of ``None`` gives the rows alone, as for
+    every segment of a file but its first."""
     head = "" if header is None else ",".join(map(quote_field, header)) + "\n"
-    head = head.encode("utf-8", "surrogatepass")
-    if not columns or len(columns[0]) == 0:
-        return head
-    block = np.concatenate(columns, axis=1)
-    block[:, np.cumsum([c.shape[1] for c in columns]) - 1] = ord(",")
-    block[:, -1] = ord("\n")
-    body = block.tobytes().translate(None, b"\0")
-    if b"\xff" in body:
-        body = body.replace(b"\xff", b"\0")
-    return head + body
+    head = head.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
+    rows = len(columns[0]) if columns else 0
+    buf = bytearray(len(head) + rows * sum(c.shape[1] for c in columns))
+    buf[: len(head)] = head
+    if rows:
+        block = np.frombuffer(buf, np.uint8, offset=len(head)).reshape(rows, -1)
+        stop = 0
+        for cells in columns:
+            w = cells.shape[1]
+            start, stop = stop, stop + w
+            # a row's w bytes as one item: one copy per row, not w
+            block[:, start:stop].view(f"V{w}")[:, 0] = cells.view(f"V{w}")[:, 0]
+            block[:, stop - 1] = ord(",")
+        block[:, -1] = ord("\n")
+    buf = buf.translate(None, b"\0")
+    if b"\xff" in buf:
+        buf = buf.replace(b"\xff", b"\0")
+    return buf
 
 
 def _format_value(v: object) -> str:
@@ -421,13 +438,16 @@ def _format_value(v: object) -> str:
 
 
 def _write_blocks(
-    out: BinaryIO, header: list[str], columns: list[list[object] | np.ndarray], n: int
+    write: Callable[[bytearray], object],
+    header: list[str],
+    columns: list[list[object] | np.ndarray],
+    n: int,
 ) -> None:
-    """Write the first ``n`` rows of ``columns`` to ``out`` in k blocks of
+    """Hand the first ``n`` rows of ``columns`` to ``write`` in k blocks of
     ``n // k`` or ``n // k + 1`` rows, k the nearest whole number to
     ``n / BLOCK_ROWS`` and at least 1, the header with the first. A column
     that ends inside a block cuts it into segments there, each rendered on
-    its own, and gets blank cells after it."""
+    its own and handed over as one buffer, and gets blank cells after it."""
     k = max(1, (2 * n + BLOCK_ROWS) // (2 * BLOCK_ROWS))
     ends = sorted({len(col) for col in columns if len(col) < n})
     head = header
@@ -435,7 +455,7 @@ def _write_blocks(
         start, stop = n * i // k, n * (i + 1) // k
         cuts = [start, *(e for e in ends if start < e < stop), stop]
         for segment in _block_cells(columns, cuts):
-            out.write(render_csv(head, segment))
+            write(render_csv(head, segment))
             head = None
 
 
@@ -470,7 +490,15 @@ def write_csv(
     file ``out`` as UTF-8, a block of rows at a time; a column that ends
     sooner is blank after its end. For a path CSV ``rows`` is the path's
     length, for a table its grid's."""
-    _write_blocks(out, header, columns, rows)
+    _write_blocks(out.write, header, columns, rows)
+
+
+def _text(header: list[str], columns: list[list[object] | np.ndarray], n: int) -> str:
+    """The first ``n`` rows of ``columns`` under ``header`` as text, each
+    segment decoded as it comes and the texts joined once."""
+    texts: list[str] = []
+    _write_blocks(lambda b: texts.append(b.decode("utf-8", "surrogatepass")), header, columns, n)
+    return "".join(texts)
 
 
 def emit_csv(
@@ -479,20 +507,18 @@ def emit_csv(
     report: BubbleReport | None = None,
 ) -> str:
     """Serialize selected columns of a path; ``V`` and ``bubble`` cells are
-    blank where the valuation is undefined."""
+    blank where the valuation is undefined. Each rendered segment is decoded
+    as it comes and the texts joined."""
     if len(columns) == 0:
         raise ValueError("at least one column required")
     arrays = [column_array(path, name, report) for name in columns]
-    out = io.BytesIO()
-    _write_blocks(out, list(columns), arrays, len(path))
-    return out.getvalue().decode("utf-8", "surrogatepass")
+    return _text(list(columns), arrays, len(path))
 
 
 def emit_table_csv(header: list[str], columns: list[list[object] | np.ndarray]) -> str:
     """Serialize a table given as one column per header name (sweeps,
     summaries): floats at 12 significant digits, booleans as ``true`` and
     ``false``, everything else via str. Rows past the shortest column are
-    dropped."""
-    out = io.BytesIO()
-    _write_blocks(out, header, columns, min(map(len, columns), default=0))
-    return out.getvalue().decode("utf-8", "surrogatepass")
+    dropped. Each rendered segment is decoded as it comes and the texts
+    joined."""
+    return _text(header, columns, min(map(len, columns), default=0))

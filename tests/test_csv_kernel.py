@@ -12,12 +12,14 @@ back to 0.2%. A seeded property draws mantissas with every count of trailing
 zeros, at exponents in every notation. Two cases hold the packed layout: a
 handed-back cell keeps to its column's bytes, and the blocks of
 stress-horizon path CSVs carry few empty bytes; one pins the bytes of those
-CSVs. The rest cover the two ways a block keeps cells from the kernel: the
-counting table of small non-negative integers (its growth, its cap, a path's
-``t`` column) and a float column that repeats an earlier one's bits. Every
-draw comes from a fixed seed."""
+CSVs, and one holds the file writer's bytes of them to the emitted text. The
+rest cover the two ways a block keeps cells from the kernel: the counting
+table of small non-negative integers (its growth, its cap, a path's ``t``
+column) and a float column that repeats an earlier one's bits. Every draw
+comes from a fixed seed."""
 
 import hashlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 import bubblelab as bl
 from bubblelab import csvio
-from tests.test_csv_blocks import assert_same_text
+from tests.test_csv_blocks import assert_same_text, recorded_blocks, report_ending_at, run_free
 from tests.test_csvio import ref_emit_table_csv
 
 
@@ -225,10 +227,11 @@ def kernel_cells(monkeypatch):
     return seen
 
 
-def write_stress_paths(seed: int, horizon: int = 5000) -> list[str]:
+def stress_path_csvs(seed: int, horizon: int = 5000) -> list[tuple]:
     """Path CSVs of the land economy and Wilson (valued), Samuelson and
     Bewley at a stress horizon, every column each path defines, starting
-    points and truncations drawn from the seed; their texts."""
+    points and truncations drawn from the seed: the arguments of
+    ``csvio.emit_csv`` for each."""
     r = random.Random(seed)
 
     def land(productivity):
@@ -251,7 +254,7 @@ def write_stress_paths(seed: int, horizon: int = 5000) -> list[str]:
         bl.bewley_path(bewley, horizon),
         bl.wilson_path(wilson, horizon),   # every cell distinct
     ]
-    texts = []
+    cases = []
     for path in paths:
         fields = {"t": 0, "price_rent": 0, "yield": 0, **csvio._PATH_FIELDS}
         columns = [c for c, f in fields.items() if not f or getattr(path, f) is not None]
@@ -262,8 +265,13 @@ def write_stress_paths(seed: int, horizon: int = 5000) -> list[str]:
             columns += ["V", "bubble"]
         else:
             columns.remove("price_rent")
-        texts.append(csvio.emit_csv(path, tuple(columns), report))
-    return texts
+        cases.append((path, tuple(columns), report))
+    return cases
+
+
+def write_stress_paths(seed: int, horizon: int = 5000) -> list[str]:
+    """The texts of ``stress_path_csvs(seed, horizon)``."""
+    return [csvio.emit_csv(*case) for case in stress_path_csvs(seed, horizon)]
 
 
 # sha256 of the concatenated texts of write_stress_paths(seed=1)
@@ -273,6 +281,23 @@ STRESS_SHA256 = "96bdabe4b906912aa5f61e823424f6727f4fe6d71e4430ecdd09084a254450d
 def test_stress_path_bytes_are_frozen():
     text = "".join(write_stress_paths(seed=1))
     assert hashlib.sha256(text.encode()).hexdigest() == STRESS_SHA256
+
+
+def test_the_file_writer_writes_the_emitted_text(monkeypatch):
+    # write_csv hands each segment's bytes to the file, emit_csv decodes
+    # them; a 5001-row valued path is one block cut into two segments
+    price, dividend = run_free(5001, 2.0), np.full(5001, 0.1)
+    path = bl.EquilibriumPath(price, dividend, bl.gross_rates(price, dividend))
+    cut = (path, ("t", "P", "D", "R", "price_rent", "yield", "V", "bubble"),
+           report_ending_at(4301, price))
+    blocks = recorded_blocks(monkeypatch)
+    for path, columns, report in [*stress_path_csvs(seed=1), cut]:
+        out = io.BytesIO()
+        arrays = [csvio.column_array(path, name, report) for name in columns]
+        csvio.write_csv(out, list(columns), arrays, len(path))
+        want = csvio.emit_csv(path, columns, report).encode("utf-8", "surrogatepass")
+        assert out.getvalue() == want
+    assert blocks[-1] == [0, 4301, 5001]
 
 
 def test_few_cells_are_handed_back(fallbacks, kernel_cells):

@@ -4,6 +4,7 @@ The reference below formats and quote-checks every cell on its own, the
 straightforward reading of the format contract in ``bubblelab.csvio``. The
 column-wise emitter must produce the same bytes."""
 
+import io
 import math
 
 import numpy as np
@@ -208,6 +209,27 @@ def test_text_cells_keep_nul_bytes_and_non_ascii_text():
 
 def test_empty_table_is_header_only():
     assert table_csv(["x", "y"], [[], []]) == "x,y\n"
+
+
+def written_table_csv(header: list[str], columns: list[list[object]]) -> str:
+    """The file writer's bytes for a table, as text."""
+    out = io.BytesIO()
+    csvio.write_csv(out, header, columns, min(map(len, columns), default=0))
+    return out.getvalue().decode("utf-8", "surrogatepass")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_header_and_text_nul_bytes_come_through_both_writers(rows):
+    # the header is laid out in the same buffer as the rows and loses its
+    # NULs in the same pass, so a NUL in a header name comes back as a text
+    # cell's does; zero rows are the header alone
+    header = ["a\0b", "été", "x,y", "\0"]
+    texts = (["p\0q", "\0", "日本,語", "ÿ", ""] * rows)[:rows]
+    columns = [texts, [1.5] * rows, texts[::-1], [True] * rows]
+    want = ref_emit_table_csv(header, [list(r) for r in zip(*columns)])
+    assert want.startswith('a\0b,été,"x,y",\0\n')
+    assert csvio.emit_table_csv(header, columns) == want
+    assert written_table_csv(header, columns) == want
 
 
 # --- runs of equal neighbours ---------------------------------------------------

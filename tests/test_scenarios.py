@@ -783,6 +783,25 @@ def test_cli_run_exits_one_when_the_output_directory_cannot_be_made(
     assert main(["run", str(ini), "--out-dir", str(blocker)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
+
+@pytest.mark.parametrize("blocked", ["csv", "out_dir"])
+def test_cli_names_the_scenario_whose_output_cannot_be_written(tmp_path, capsys, blocked):
+    # a directory where the CSV goes fails the rename into place, a file
+    # where the output directory goes fails making it: either way the
+    # message names the file and section, and no temporary file is left
+    ini = tmp_path / "s.ini"
+    ini.write_text(bb_text("bb", 0.4, "horizon = 10\n"))
+    out = tmp_path / "o"
+    if blocked == "csv":
+        (out / "bb.csv").mkdir(parents=True)
+    else:
+        out.write_text("")
+    assert main(["run", str(ini), "--out-dir", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"error: {ini} [bb]: [Errno ")
+    assert message.count("\n") == 1
+    assert not [f for f in tmp_path.rglob("*") if f.name.endswith(".tmp")]
+
 def test_cli_names_the_underflow_of_a_deflating_samuelson_price(tmp_path, capsys):
     ini = tmp_path / "s.ini"
     ini.write_text(
